@@ -42,7 +42,7 @@ fn join_ablation(c: &mut Criterion) {
             .semijoin(r.clone(), Scalar::attr_cmp(CmpOp::Eq, "a", "b"));
         let hash_plan = engine::compile(&equi);
         group.bench_with_input(BenchmarkId::new("hash", n), &hash_plan, |bch, plan| {
-            bch.iter(|| engine::run_compiled(plan, &cat).expect("runs"))
+            bch.iter(|| engine::run_streaming_parallel(plan, &cat, 1).expect("runs"))
         });
         // Forcing the loop operator: a non-hashable predicate of equal
         // selectivity (equality spelled as a conjunction of inequalities).
@@ -52,7 +52,7 @@ fn join_ablation(c: &mut Criterion) {
         );
         let loop_plan = engine::compile(&loopy);
         group.bench_with_input(BenchmarkId::new("loop", n), &loop_plan, |bch, plan| {
-            bch.iter(|| engine::run_compiled(plan, &cat).expect("runs"))
+            bch.iter(|| engine::run_streaming_parallel(plan, &cat, 1).expect("runs"))
         });
     }
     group.finish();
@@ -71,7 +71,7 @@ fn grouping_ablation(c: &mut Criterion) {
             .group_unary("g", &["b"], CmpOp::Eq, GroupFn::count());
         let hash_plan = engine::compile(&hash);
         group.bench_with_input(BenchmarkId::new("hash", n), &hash_plan, |bch, plan| {
-            bch.iter(|| engine::run_compiled(plan, &cat).expect("runs"))
+            bch.iter(|| engine::run_streaming_parallel(plan, &cat, 1).expect("runs"))
         });
         // θ-grouping with Le (superset work of Eq) as the definitional
         // reference point.
@@ -80,7 +80,7 @@ fn grouping_ablation(c: &mut Criterion) {
             .group_unary("g", &["b"], CmpOp::Le, GroupFn::count());
         let theta_plan = engine::compile(&theta);
         group.bench_with_input(BenchmarkId::new("theta", n), &theta_plan, |bch, plan| {
-            bch.iter(|| engine::run_compiled(plan, &cat).expect("runs"))
+            bch.iter(|| engine::run_streaming_parallel(plan, &cat, 1).expect("runs"))
         });
     }
     group.finish();
@@ -107,33 +107,11 @@ fn xi_fusion_ablation(c: &mut Criterion) {
     let gp = engine::compile(&grouped);
     let fp = engine::compile(&fused);
     group.bench_function("materialized", |b| {
-        b.iter(|| engine::run_compiled(&gp, &cat).expect("runs"))
+        b.iter(|| engine::run_streaming_parallel(&gp, &cat, 1).expect("runs"))
     });
     group.bench_function("fused", |b| {
-        b.iter(|| engine::run_compiled(&fp, &cat).expect("runs"))
+        b.iter(|| engine::run_streaming_parallel(&fp, &cat, 1).expect("runs"))
     });
-    group.finish();
-}
-
-/// Materializing vs. streaming executor on a quantifier-shaped workload:
-/// a selective semijoin where the streaming path's short-circuit and
-/// pipelining should show up directly.
-fn executor_ablation(c: &mut Criterion) {
-    let cat = Catalog::new();
-    let mut group = c.benchmark_group("executor_ablation");
-    group.sample_size(10);
-    for &n in &[1000usize, 5000] {
-        let l = int_rel("a", n, 64);
-        let r = pair_rel("b", "y", n, 64);
-        let semi = l.semijoin(r, Scalar::attr_cmp(CmpOp::Eq, "a", "b"));
-        let plan = engine::compile(&semi);
-        group.bench_with_input(BenchmarkId::new("materialized", n), &plan, |bch, plan| {
-            bch.iter(|| engine::run_compiled(plan, &cat).expect("runs"))
-        });
-        group.bench_with_input(BenchmarkId::new("streaming", n), &plan, |bch, plan| {
-            bch.iter(|| engine::run_streaming_compiled(plan, &cat).expect("runs"))
-        });
-    }
     group.finish();
 }
 
@@ -159,14 +137,18 @@ fn index_ablation(c: &mut Criterion) {
                     BenchmarkId::new(format!("{}-scan", w.id), n),
                     &scan_plan,
                     |bch, plan| {
-                        bch.iter(|| engine::run_streaming_compiled(plan, &catalog).expect("runs"))
+                        bch.iter(|| {
+                            engine::run_streaming_parallel(plan, &catalog, 1).expect("runs")
+                        })
                     },
                 );
                 group.bench_with_input(
                     BenchmarkId::new(format!("{}-indexed", w.id), n),
                     &index_plan,
                     |bch, plan| {
-                        bch.iter(|| engine::run_streaming_compiled(plan, &catalog).expect("runs"))
+                        bch.iter(|| {
+                            engine::run_streaming_parallel(plan, &catalog, 1).expect("runs")
+                        })
                     },
                 );
             }
@@ -180,7 +162,6 @@ criterion_group!(
     join_ablation,
     grouping_ablation,
     xi_fusion_ablation,
-    executor_ablation,
     index_ablation
 );
 criterion_main!(benches);

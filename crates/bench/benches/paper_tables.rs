@@ -24,7 +24,7 @@ fn bench_workload(c: &mut Criterion, group_name: &str, w: &Workload) {
     for (label, expr) in &plans {
         let plan = engine::compile(expr);
         group.bench_with_input(BenchmarkId::from_parameter(label), &plan, |b, plan| {
-            b.iter(|| engine::run_compiled(plan, &catalog).expect("plan runs"))
+            b.iter(|| engine::run_streaming_parallel(plan, &catalog, 1).expect("plan runs"))
         });
     }
     group.finish();
@@ -67,7 +67,7 @@ fn q1_group_size_sweep(c: &mut Criterion) {
             }
             let plan = engine::compile(expr);
             group.bench_with_input(BenchmarkId::new(label.clone(), fanout), &plan, |b, plan| {
-                b.iter(|| engine::run_compiled(plan, &catalog).expect("runs"))
+                b.iter(|| engine::run_streaming_parallel(plan, &catalog, 1).expect("runs"))
             });
         }
     }

@@ -76,8 +76,8 @@ pub struct Metrics {
     /// outer tuple in a nested plan; zero in a fully unnested plan).
     pub nested_evals: u64,
     /// Tuples produced per physical operator. Populated by the streaming
-    /// executor's metered cursors; the materializing executor and the
-    /// reference evaluator leave it empty. Keys are operator display
+    /// executor's metered cursors; the reference evaluator leaves it
+    /// empty. Keys are operator display
     /// names (`"HashSemiJoin"`, `"Select"`, …).
     pub op_tuples: std::collections::BTreeMap<&'static str, u64>,
     /// Right-side candidate tuples examined by join probes in the
@@ -135,11 +135,11 @@ pub struct EvalCtx<'a> {
     /// Collected counters.
     pub metrics: Metrics,
     /// Optional per-operator execution trace. `None` (the default) keeps
-    /// the executors' hot paths untimed; a traced run
-    /// ([`EvalCtx::enable_trace`]) makes both executors record per-node
+    /// the executor's hot paths untimed; a traced run
+    /// ([`EvalCtx::enable_trace`]) makes the executor record per-node
     /// wall time, rows, and probe deltas here. Kept *outside*
-    /// [`Metrics`] so the executor counter-parity invariants never
-    /// compare timing.
+    /// [`Metrics`] so the counter-parity invariants never compare
+    /// timing.
     pub trace: Option<crate::obs::ExecTrace>,
     /// Requested degree of intra-query parallelism. `1` (the default)
     /// keeps every operator on the calling thread; values above 1 let
@@ -323,15 +323,9 @@ pub fn eval(e: &Expr, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
             f,
         } => {
             let seq = eval(input, env, ctx)?;
-            let keys = distinct_by_key(&seq, by, ctx.catalog);
-            let mut out = Vec::with_capacity(keys.len());
-            for key in keys {
-                let mut group = Vec::new();
-                for t in &seq {
-                    if tuple_key_matches(&key, by, t, by, *theta, ctx.catalog) {
-                        group.push(t.clone());
-                    }
-                }
+            let groups = theta_groups(&seq, by, *theta, ctx.catalog);
+            let mut out = Vec::with_capacity(groups.len());
+            for (key, group) in groups {
                 let v = apply_groupfn(f, &group, env, ctx)?;
                 out.push(key.extend(*g, v));
             }
@@ -432,13 +426,9 @@ pub fn eval(e: &Expr, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
             tail,
         } => {
             let seq = eval(input, env, ctx)?;
-            let keys = distinct_by_key(&seq, by, ctx.catalog);
-            let mut out = Vec::with_capacity(keys.len());
-            for key in keys {
-                let group: Vec<&Tuple> = seq
-                    .iter()
-                    .filter(|t| tuple_key_matches(&key, by, t, by, CmpOp::Eq, ctx.catalog))
-                    .collect();
+            let groups = theta_groups(&seq, by, CmpOp::Eq, ctx.catalog);
+            let mut out = Vec::with_capacity(groups.len());
+            for (key, group) in groups {
                 let key_env = env.concat(&key);
                 xi::run_cmds(head, &key_env, ctx)?;
                 for t in &group {
@@ -512,6 +502,29 @@ fn distinct_by_key(seq: &[Tuple], by: &[Sym], catalog: &Catalog) -> Seq {
         .map(|t| atomize_tuple(&t.project(by), catalog))
         .collect();
     dedup_by_value(&projected, catalog)
+}
+
+/// The groups of `Γ_{g;θA;f}` (and, with θ = `=`, of Ξ-grouping) by the
+/// definition: one per distinct atomized key value of `by`, in
+/// first-occurrence order, holding every tuple of `seq` whose key
+/// compares θ to it, in input order.
+pub fn theta_groups(
+    seq: &[Tuple],
+    by: &[Sym],
+    theta: CmpOp,
+    catalog: &Catalog,
+) -> Vec<(Tuple, Vec<Tuple>)> {
+    distinct_by_key(seq, by, catalog)
+        .into_iter()
+        .map(|key| {
+            let group = seq
+                .iter()
+                .filter(|t| tuple_key_matches(&key, by, t, by, theta, catalog))
+                .cloned()
+                .collect();
+            (key, group)
+        })
+        .collect()
 }
 
 /// Pairwise `x.A1[i] θ y.A2[i]` for all i.

@@ -2,8 +2,8 @@
 //! stage spans, and per-operator execution traces.
 //!
 //! Everything here is zero-dependency and deliberately *outside*
-//! [`crate::eval::Metrics`]: the executor-parity suites assert that the
-//! materializing and streaming executors produce identical counters, and
+//! [`crate::eval::Metrics`]: the parity suites assert that traced and
+//! untraced, serial and parallel runs produce identical counters, and
 //! wall-clock timing can never be identical by construction. Traces ride
 //! in their own optional slot on [`crate::eval::EvalCtx`], so an
 //! untraced run pays nothing and the parity invariants never see time.
@@ -135,8 +135,7 @@ impl QueryTrace {
 /// Accumulated per-operator execution counters for one plan node.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpStats {
-    /// Times the operator was entered (`next` calls in the streaming
-    /// executor, recursive invocations in the materializing one).
+    /// Times the operator was entered (`next` calls on its cursor).
     pub calls: u64,
     /// Output rows the operator produced.
     pub rows: u64,

@@ -20,9 +20,9 @@
 //!   function, so pricing can never claim an access path the engine
 //!   declines;
 //! * [`probe`] — recipe execution ([`probe::IndexJoinAccess`]), shared
-//!   verbatim by both executors, which makes
-//!   `index_lookups`/`index_hits` parity a construction property rather
-//!   than a test obligation.
+//!   verbatim by the serial join cursor and the parallel workers, which
+//!   makes `index_lookups`/`index_hits` parity a construction property
+//!   rather than a test obligation.
 //!
 //! The pass stays *conservative by construction*: a conversion happens
 //! only when the replaced subtree provably produces the same tuple
@@ -30,7 +30,7 @@
 //! same residual-evaluation order — so every converted plan stays
 //! byte-identical in rows and Ξ output to its scan-based original (the
 //! differential suite `tests/index_vs_scan.rs` enforces this across the
-//! paper's workloads and both executors). Anything the tracer cannot
+//! paper's workloads, serial and parallel). Anything the tracer cannot
 //! prove is left untouched and keeps scanning.
 
 pub mod probe;
@@ -72,11 +72,11 @@ pub fn pattern_of(path: &Path) -> PathPattern {
     PathPattern::new(steps)
 }
 
-/// The value-index probe key of an attribute value — the exact mirror of
-/// [`crate::key::KeyVal::from_value`], so index probes and hash-bucket
-/// lookups agree on every input (including the deliberate misses: a
-/// numeric probe never equals a string build key, and NaN / `-0.0`
-/// canonicalize identically on every access path).
+/// The value-index probe key of an attribute value — the mirror of
+/// [`crate::key::KeyVal::from_value`], so NaN / `-0.0` canonicalize
+/// identically on every access path. Stored keys are strings, so only a
+/// string key is a direct lookup; the probe runtime resolves the other
+/// classes by the algebra's coercion rules.
 pub fn probe_key_of(v: &Value, catalog: &Catalog) -> xmldb::ValueKey {
     use xmldb::ValueKey;
     match v.atomize(catalog) {

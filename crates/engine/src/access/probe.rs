@@ -1,26 +1,57 @@
 //! Recipe execution: the runtime side of the access-path IR.
 //!
 //! [`IndexJoinAccess`] resolves an [`AccessRecipe`] against the catalog
-//! once per join and then answers each probe tuple. **Both executors**
-//! call the same [`IndexJoinAccess::probe_matches`], so probe semantics
-//! and `index_lookups`/`index_hits` accounting are identical by
-//! construction (the streaming executor additionally counts
-//! `probe_tuples` for examined candidates, matching where the scan-based
-//! join cursors track it; the materializing executor leaves it 0 for
-//! every join kind).
+//! once per join and then answers each probe tuple. The serial join
+//! cursor and the parallel workers call the same
+//! [`IndexJoinAccess::probe_matches`], so probe semantics and
+//! `index_lookups`/`index_hits` accounting are identical by
+//! construction; `probe_tuples` counts examined candidates, matching
+//! where the scan-based join cursors track it.
 
+use std::borrow::Cow;
 use std::ops::Bound;
 use std::sync::Arc;
 
 use nal::eval::scalar::{eval_scalar, truthy};
 use nal::eval::{EvalCtx, EvalError, EvalResult};
 use nal::{Sym, Tuple, Value};
-use xmldb::{CompositeValueIndex, ValueIndex, ValueKey};
+use xmldb::{Catalog, CompositeEntry, CompositeValueIndex, NodeId, ValueIndex, ValueKey};
 
-use crate::exec::scoped;
+use crate::pipeline::scoped;
 
 use super::recipe::{AccessRecipe, AncestorMode, BuildOp, Driver};
 use super::{doc_id_of, probe_key_of};
+
+/// The indexed nodes whose value the definitional `=` ([`nal::cmp_general`])
+/// equates with the probe value `v`, in document order. Strings resolve
+/// through the typed lookup, numbers through the numeric view (a number
+/// equals every string that parses to it); booleans and sequences
+/// compare with the stored strings by coercion rules no typed key
+/// captures, so every indexed key is tested.
+fn eq_candidates<'a>(vindex: &'a ValueIndex, v: &Value, catalog: &Catalog) -> Cow<'a, [NodeId]> {
+    let key = probe_key_of(v, catalog);
+    match key {
+        ValueKey::Str(_) | ValueKey::Null => return Cow::Borrowed(vindex.get(&key)),
+        ValueKey::Num(_) => return Cow::Borrowed(vindex.get_numeric(&key)),
+        ValueKey::Bool(_) | ValueKey::Other(_) => {}
+    }
+    let mut nodes: Vec<NodeId> = vindex
+        .iter()
+        .filter(|(k, _)| key_equals(v, k, catalog))
+        .flat_map(|(_, nodes)| nodes.iter().copied())
+        .collect();
+    nodes.sort_unstable();
+    Cow::Owned(nodes)
+}
+
+/// Does the definitional `=` hold between the probe value `v` and the
+/// indexed (string) key `k`?
+fn key_equals(v: &Value, k: &ValueKey, catalog: &Catalog) -> bool {
+    match k {
+        ValueKey::Str(s) => nal::cmp_general(nal::CmpOp::Eq, v, &Value::str(s), catalog),
+        _ => false,
+    }
+}
 
 /// Resolved runtime state of one index-backed join: the document id and
 /// the (composite) value index the recipe's driver probes.
@@ -103,20 +134,22 @@ impl IndexJoinAccess {
                     return Ok(false);
                 };
                 ctx.metrics.index_lookups += 1;
-                let key = probe_key_of(v, ctx.catalog);
-                let candidates = self.vindex.as_ref().expect("point driver").get(&key);
+                let vindex = self.vindex.as_ref().expect("point driver");
+                let candidates = eq_candidates(vindex, v, ctx.catalog);
                 if candidates.is_empty() {
                     return Ok(false);
                 }
                 ctx.metrics.index_hits += 1;
-                self.decide_from_candidates(recipe, lt, candidates, count_probes, env, ctx)
+                self.decide_from_candidates(recipe, lt, &candidates, count_probes, env, ctx)
             }
             Driver::Composite { probes, .. } => {
-                // The composite probe key mirrors the hash operators'
-                // composite `key_of`: every component must be present
-                // and matchable (a NULL or NaN component matches
-                // nothing), and component types stay typed — a numeric
-                // probe never equals a string build key.
+                // Every component must be present and matchable (a NULL
+                // or NaN component matches nothing). An all-string probe
+                // is one typed lookup; any other component type compares
+                // with the stored strings by the algebra's coercion
+                // rules, which no typed key captures, so every indexed
+                // key is tested.
+                let mut values: Vec<&Value> = Vec::with_capacity(probes.len());
                 let mut key: Vec<ValueKey> = Vec::with_capacity(probes.len());
                 for p in probes {
                     let Some(v) = lt.get(*p) else {
@@ -126,10 +159,27 @@ impl IndexJoinAccess {
                     if !k.matchable() {
                         return Ok(false);
                     }
+                    values.push(v);
                     key.push(k);
                 }
                 ctx.metrics.index_lookups += 1;
-                let entries = self.cindex.as_ref().expect("composite driver").get(&key);
+                let cindex = self.cindex.as_ref().expect("composite driver");
+                let entries: Cow<'_, [CompositeEntry]> =
+                    if key.iter().all(|k| matches!(k, ValueKey::Str(_))) {
+                        Cow::Borrowed(cindex.get(&key))
+                    } else {
+                        let mut found: Vec<CompositeEntry> = cindex
+                            .iter()
+                            .filter(|(k, _)| {
+                                k.iter()
+                                    .zip(&values)
+                                    .all(|(k, v)| key_equals(v, k, ctx.catalog))
+                            })
+                            .flat_map(|(_, entries)| entries.iter().cloned())
+                            .collect();
+                        found.sort_unstable();
+                        Cow::Owned(found)
+                    };
                 if entries.is_empty() {
                     return Ok(false);
                 }
@@ -140,7 +190,7 @@ impl IndexJoinAccess {
                     }
                     return Ok(true);
                 }
-                for entry in entries {
+                for entry in entries.iter() {
                     if self.candidate_matches(
                         recipe,
                         lt,
@@ -216,8 +266,7 @@ impl IndexJoinAccess {
                 return Ok(false);
             };
             ctx.metrics.index_lookups += 1;
-            let key = probe_key_of(v, ctx.catalog);
-            let posting = vindex.get(&key);
+            let posting = eq_candidates(vindex, v, ctx.catalog);
             if fast {
                 let found = posting.iter().any(|&n| passes(n, None));
                 if found {
@@ -447,7 +496,7 @@ impl IndexJoinAccess {
                         rows = next;
                     }
                     BuildOp::Project(op) => {
-                        rows = crate::exec::project_rows(&rows, op, ctx);
+                        rows = crate::pipeline::project_rows(&rows, op, ctx);
                     }
                 }
                 if rows.is_empty() {

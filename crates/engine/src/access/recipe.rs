@@ -9,11 +9,11 @@
 //! residual predicate filters the rows.
 //!
 //! The recipe is emitted once, by the tracer ([`super::trace`]), and then
-//! consumed *unchanged* by three parties:
+//! consumed *unchanged* by two parties:
 //!
-//! * the materializing executor ([`crate::exec`]),
-//! * the streaming executor ([`crate::pipeline::join`]) — both through
-//!   the shared [`super::probe::IndexJoinAccess`], so probe semantics and
+//! * the executor ([`crate::pipeline::join`] serially,
+//!   [`crate::pipeline::par`] in parallel segments) — both through the
+//!   shared [`super::probe::IndexJoinAccess`], so probe semantics and
 //!   `index_lookups`/`index_hits` accounting are identical by
 //!   construction, and
 //! * the cost model (`unnest::CostModel`), which prices a quantifier
@@ -173,8 +173,8 @@ impl AccessRecipe {
     /// Is the probe decision independent of the probe tuple? True for
     /// constant-bound range quantifiers (`every $x satisfies $x > 5`):
     /// no typed bucket probe, no residual, every range side closed.
-    /// Both executors then probe once and reuse the answer — identically,
-    /// so metric parity is preserved.
+    /// The executor then probes once and reuses the answer — serially and
+    /// across a parallel segment alike, so metric parity is preserved.
     pub fn probe_invariant(&self) -> bool {
         match &self.driver {
             Driver::Range { eq_probe, ranges } => {

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use nal::obs::ExecTrace;
-use nal::{EvalCtx, EvalResult, Seq, Tuple};
+use nal::EvalResult;
 use xmldb::Catalog;
 
 use crate::plan::PhysPlan;
@@ -216,25 +216,11 @@ fn collect(plan: &PhysPlan, depth: usize, trace: &ExecTrace, out: &mut Vec<Expla
     }
 }
 
-/// [`crate::run_compiled`] with per-operator tracing enabled: returns
-/// the usual result plus the recorded [`ExecTrace`]. Counters in
+/// [`crate::run_streaming_parallel`] with per-operator tracing enabled:
+/// returns the usual result plus the recorded [`ExecTrace`]. Counters in
 /// `result.metrics` are identical to an untraced run (tracing only adds
-/// timing).
-pub fn run_traced(plan: &PhysPlan, catalog: &Catalog) -> EvalResult<(QueryResult, ExecTrace)> {
-    run_traced_with(plan, catalog, false)
-}
-
-/// [`crate::run_streaming_compiled`] with per-operator tracing enabled.
-pub fn run_streaming_traced(
-    plan: &PhysPlan,
-    catalog: &Catalog,
-) -> EvalResult<(QueryResult, ExecTrace)> {
-    run_traced_with(plan, catalog, true)
-}
-
-/// [`run_streaming_traced`] at an explicit degree of parallelism:
-/// `Parallel` segments in the plan fan out over `workers` threads,
-/// per-worker traces merge into the returned [`ExecTrace`] (stage
+/// timing). `Parallel` segments in the plan fan out over `workers`
+/// threads, and per-worker traces merge into the returned trace (stage
 /// counters sum to their serial values). Pair with
 /// [`ExplainReport::annotate_parallel`] to surface the degree in the
 /// rendered report.
@@ -243,43 +229,8 @@ pub fn run_streaming_traced_parallel(
     catalog: &Catalog,
     workers: usize,
 ) -> EvalResult<(QueryResult, ExecTrace)> {
-    run_traced_at_degree(plan, catalog, true, workers)
-}
-
-fn run_traced_with(
-    plan: &PhysPlan,
-    catalog: &Catalog,
-    streaming: bool,
-) -> EvalResult<(QueryResult, ExecTrace)> {
-    run_traced_at_degree(plan, catalog, streaming, 1)
-}
-
-fn run_traced_at_degree(
-    plan: &PhysPlan,
-    catalog: &Catalog,
-    streaming: bool,
-    workers: usize,
-) -> EvalResult<(QueryResult, ExecTrace)> {
-    let mut ctx = EvalCtx::new(catalog);
-    ctx.parallel = workers.max(1);
-    ctx.enable_trace();
-    let start = std::time::Instant::now();
-    let rows: Seq = if streaming {
-        crate::pipeline::execute_streaming(plan, &Tuple::empty(), &mut ctx)?
-    } else {
-        crate::exec::execute(plan, &Tuple::empty(), &mut ctx)?
-    };
-    let elapsed = start.elapsed();
-    let trace = ctx.take_trace().expect("trace was enabled");
-    Ok((
-        QueryResult {
-            rows,
-            output: ctx.take_output(),
-            metrics: ctx.metrics,
-            elapsed,
-        },
-        trace,
-    ))
+    let (result, trace) = crate::run_plan(plan, catalog, workers, true)?;
+    Ok((result, trace.expect("trace was enabled")))
 }
 
 #[cfg(test)]
@@ -298,7 +249,7 @@ mod tests {
     fn traced_run_annotates_every_node() {
         let catalog = Catalog::new();
         let plan = sample_plan();
-        let (result, trace) = run_traced(&plan, &catalog).unwrap();
+        let (result, trace) = run_streaming_traced_parallel(&plan, &catalog, 1).unwrap();
         assert_eq!(result.rows.len(), 1);
         let report = ExplainReport::from_trace(&plan, &trace);
         assert_eq!(report.nodes[0].depth, 0);
@@ -313,17 +264,21 @@ mod tests {
     fn streaming_trace_matches_tree_shape() {
         let catalog = Catalog::new();
         let plan = sample_plan();
-        let (_, trace) = run_streaming_traced(&plan, &catalog).unwrap();
+        let (_, trace) = run_streaming_traced_parallel(&plan, &catalog, 1).unwrap();
         let report = ExplainReport::from_trace(&plan, &trace);
-        // Every node was pulled at least once (the final None pull).
-        assert!(report.nodes.iter().all(|n| n.calls > 0), "{report:?}");
+        // One report node per plan node, in pre-order.
+        fn count(p: &PhysPlan) -> usize {
+            1 + p.children().into_iter().map(count).sum::<usize>()
+        }
+        assert_eq!(report.nodes.len(), count(&plan));
+        assert_eq!(report.nodes[0].op, plan.op_name());
     }
 
     #[test]
     fn render_parse_round_trip() {
         let catalog = Catalog::new();
         let plan = sample_plan();
-        let (_, trace) = run_traced(&plan, &catalog).unwrap();
+        let (_, trace) = run_streaming_traced_parallel(&plan, &catalog, 1).unwrap();
         let mut report = ExplainReport::from_trace(&plan, &trace);
         // Give one node a predicted cost so both arms round-trip.
         let id = report.nodes[0].node;
@@ -348,7 +303,7 @@ mod tests {
     fn workers_annotation_round_trips() {
         let catalog = Catalog::new();
         let plan = sample_plan();
-        let (_, trace) = run_traced(&plan, &catalog).unwrap();
+        let (_, trace) = run_streaming_traced_parallel(&plan, &catalog, 1).unwrap();
         let mut report = ExplainReport::from_trace(&plan, &trace);
         // No Parallel node in this plan: annotation is a no-op …
         report.annotate_parallel(4);

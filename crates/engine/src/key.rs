@@ -3,14 +3,20 @@
 //! Hash operators need `Eq + Hash` keys whose equality coincides with the
 //! algebra's `=` on atomized values ([`nal::cmp_atomic`]): numbers compare
 //! numerically (`Int(2)` = `Dec(2.0)`), strings as strings, NULL matches
-//! nothing. Mixed numeric/string comparisons (a string column against a
-//! numeric one) would need coercion against the *other* side and cannot
-//! be hashed consistently — the planner only selects hash operators for
-//! equi-predicates, where the paper's workloads always join
-//! like-typed columns; the differential tests against the reference
-//! evaluator guard the behaviour.
+//! nothing. Within one of those classes typed key equality *is* the
+//! definitional `=`. Across classes it is not — a number equals every
+//! string that parses to it (`2 = "2"` and `2 = "2.0"`, yet
+//! `"2" != "2.0"`), so no single key can hash both consistently. The
+//! operators therefore stay exact by checking classes at run time: a
+//! [`KeyTable`] probe whose key classes differ from the build side's
+//! falls back to the definitional comparison over every build row, and
+//! hash grouping falls back to the definitional grouping when its keys
+//! mix classes.
 
-use nal::{Tuple, Value};
+use std::borrow::Cow;
+use std::collections::HashMap;
+
+use nal::{CmpOp, Sym, Tuple, Value};
 use xmldb::Catalog;
 
 /// One key component.
@@ -57,7 +63,24 @@ impl KeyVal {
     pub fn matchable(&self) -> bool {
         !matches!(self, KeyVal::Null)
     }
+
+    /// The component's class bit. Two components of the same class other
+    /// than [`OTHER`] are equal as keys iff they are equal under the
+    /// definitional `=`; sequences ([`OTHER`]) compare existentially and
+    /// never hash exactly.
+    fn class(&self) -> u8 {
+        match self {
+            KeyVal::Null => 0,
+            KeyVal::Bool(_) => 1,
+            KeyVal::Num(_) => 2,
+            KeyVal::Str(_) => 4,
+            KeyVal::Other(_) => OTHER,
+        }
+    }
 }
+
+/// Class bit of [`KeyVal::Other`] components.
+const OTHER: u8 = 8;
 
 /// A composite key.
 pub type Key = Vec<KeyVal>;
@@ -75,6 +98,142 @@ pub fn key_of(t: &Tuple, attrs: &[nal::Sym], catalog: &Catalog) -> Option<Key> {
         key.push(kv);
     }
     Some(key)
+}
+
+/// A value comparison with the signature of [`nal::cmp_general`] and
+/// [`nal::cmp_atomic`] — the definitional `=` a [`KeyTable`] falls back to.
+pub type ValueCmp = fn(CmpOp, &Value, &Value, &Catalog) -> bool;
+
+/// Which build rows of a [`KeyTable`] a probe tuple has to examine.
+#[derive(Clone, Copy, Debug)]
+pub enum Probe {
+    /// No build row can match.
+    Miss,
+    /// Exactly the rows of this bucket match on the key.
+    Bucket(usize),
+    /// Typed keys cannot decide (the probe's key classes differ from the
+    /// build side's): every build row is compared definitionally.
+    Scan,
+}
+
+/// The build side of the hash operators: rows bucketed by [`Key`] in
+/// arrival order, answering probes exactly as the definitional `=` on
+/// the key attributes would.
+pub struct KeyTable {
+    /// Build rows with a matchable key, in arrival order.
+    rows: Vec<Tuple>,
+    /// Bucket storage, arrival order within each bucket.
+    buckets: Vec<Vec<Tuple>>,
+    /// Key → bucket slot.
+    index: HashMap<Key, usize>,
+    /// Build-side key attributes.
+    keys: Vec<Sym>,
+    /// Per key component, the union of the build rows' class bits.
+    classes: Vec<u8>,
+    /// The definitional comparison a [`Probe::Scan`] applies per key pair.
+    eq: ValueCmp,
+}
+
+impl KeyTable {
+    /// Bucket `rows` by their `keys` values; rows with a NULL or missing
+    /// key component match nothing and are dropped.
+    pub fn build(rows: Vec<Tuple>, keys: &[Sym], eq: ValueCmp, catalog: &Catalog) -> KeyTable {
+        let mut table = KeyTable {
+            rows: Vec::with_capacity(rows.len()),
+            buckets: Vec::new(),
+            index: HashMap::with_capacity(rows.len()),
+            keys: keys.to_vec(),
+            classes: vec![0; keys.len()],
+            eq,
+        };
+        for rt in rows {
+            let Some(k) = key_of(&rt, keys, catalog) else {
+                continue;
+            };
+            for (seen, c) in table.classes.iter_mut().zip(&k) {
+                *seen |= c.class();
+            }
+            let slot = *table.index.entry(k).or_insert_with(|| {
+                table.buckets.push(Vec::new());
+                table.buckets.len() - 1
+            });
+            table.buckets[slot].push(rt.clone());
+            table.rows.push(rt);
+        }
+        table
+    }
+
+    /// Resolve where `lt`'s matches are (`left_keys` pair up with the
+    /// build keys positionally).
+    pub fn probe(&self, lt: &Tuple, left_keys: &[Sym], catalog: &Catalog) -> Probe {
+        let Some(k) = key_of(lt, left_keys, catalog) else {
+            return Probe::Miss;
+        };
+        let exact = k.iter().zip(&self.classes).all(|(c, seen)| {
+            let class = c.class();
+            class != OTHER && seen & !class == 0
+        });
+        if !exact {
+            return Probe::Scan;
+        }
+        match self.index.get(&k) {
+            Some(&slot) => Probe::Bucket(slot),
+            None => Probe::Miss,
+        }
+    }
+
+    /// The first of `probe`'s matches at or after candidate position
+    /// `pos`, with its position; matches come in build arrival order.
+    pub fn next_match(
+        &self,
+        probe: Probe,
+        pos: usize,
+        lt: &Tuple,
+        left_keys: &[Sym],
+        catalog: &Catalog,
+    ) -> Option<(usize, &Tuple)> {
+        match probe {
+            Probe::Miss => None,
+            Probe::Bucket(slot) => self.buckets[slot].get(pos).map(|rt| (pos, rt)),
+            Probe::Scan => self
+                .rows
+                .iter()
+                .enumerate()
+                .skip(pos)
+                .find(|(_, rt)| self.keys_equal(lt, left_keys, rt, catalog)),
+        }
+    }
+
+    /// All of `probe`'s matches, in build arrival order.
+    pub fn matches(
+        &self,
+        probe: Probe,
+        lt: &Tuple,
+        left_keys: &[Sym],
+        catalog: &Catalog,
+    ) -> Cow<'_, [Tuple]> {
+        match probe {
+            Probe::Miss => Cow::Borrowed(&[]),
+            Probe::Bucket(slot) => Cow::Borrowed(&self.buckets[slot]),
+            Probe::Scan => Cow::Owned(
+                self.rows
+                    .iter()
+                    .filter(|rt| self.keys_equal(lt, left_keys, rt, catalog))
+                    .cloned()
+                    .collect(),
+            ),
+        }
+    }
+
+    fn keys_equal(&self, lt: &Tuple, left_keys: &[Sym], rt: &Tuple, catalog: &Catalog) -> bool {
+        left_keys
+            .iter()
+            .zip(&self.keys)
+            .all(|(a, b)| match (lt.get(*a), rt.get(*b)) {
+                (Some(l), Some(r)) => (self.eq)(CmpOp::Eq, l, r, catalog),
+                _ => false,
+            })
+    }
 }
 
 #[cfg(test)]
@@ -125,6 +284,30 @@ mod tests {
         assert!(key_of(&t, &[Sym::new("a")], &c).is_some());
         assert_eq!(key_of(&t, &[Sym::new("a"), Sym::new("b")], &c), None);
         assert_eq!(key_of(&t, &[Sym::new("missing")], &c), None);
+    }
+
+    #[test]
+    fn mixed_class_probes_compare_definitionally() {
+        let c = cat();
+        let b = Sym::new("b");
+        let rows = ["3", "3.00", "x"]
+            .iter()
+            .map(|v| Tuple::singleton(b, Value::str(v)))
+            .collect();
+        let table = KeyTable::build(rows, &[b], nal::cmp_general, &c);
+        let a = Sym::new("a");
+        let hits = |v: Value| {
+            let lt = Tuple::singleton(a, v);
+            let probe = table.probe(&lt, &[a], &c);
+            table.matches(probe, &lt, &[a], &c).len()
+        };
+        // Same class: one typed bucket.
+        assert_eq!(hits(Value::str("3")), 1);
+        // A number equals both strings that parse to it, though they
+        // differ from each other.
+        assert_eq!(hits(Value::Dec(Dec(3.0))), 2);
+        assert_eq!(hits(Value::Int(4)), 0);
+        assert_eq!(hits(Value::Null), 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `engine` — the physical query engine (the repo's Natix stand-in).
 //!
 //! Compiles NAL expressions ([`nal::Expr`]) into physical operator trees
-//! ([`PhysPlan`]) and executes them over a document catalog. Equality
+//! ([`PhysPlan`]) and executes them over a document catalog with one
+//! streaming executor ([`pipeline`]). Equality
 //! predicates run on hash-based, order-preserving operators (§2's
 //! implementation discussion); everything else falls back to the
 //! definitional forms. Nested scalar expressions — the hallmark of
@@ -9,14 +10,15 @@
 //! evaluator's machinery, which is precisely the nested-loop strategy the
 //! paper's baseline measures.
 //!
-//! Differential tests (`tests/engine_vs_spec.rs` and the umbrella
-//! `tests/` suite) assert that every plan produces results and Ξ output
-//! identical to `nal::eval`.
+//! Differential tests (`tests/engine_vs_spec.rs`,
+//! `tests/streaming_vs_materialized.rs`, the umbrella `tests/`
+//! suite and the fuzz oracle) assert that every plan produces results
+//! and Ξ output identical to the definitional evaluator,
+//! [`nal::eval_query`].
 
 #![warn(missing_docs)]
 
 pub mod access;
-pub mod exec;
 pub mod explain;
 pub mod key;
 pub mod pipeline;
@@ -25,16 +27,14 @@ pub mod plan;
 pub use access::{
     apply_indexes, for_each_access_path, join_recipe, revalidate_plan, AccessPathRef, AccessRecipe,
 };
-pub use exec::execute;
-pub use explain::{
-    run_streaming_traced, run_streaming_traced_parallel, run_traced, ExplainNode, ExplainReport,
-};
+pub use explain::{run_streaming_traced_parallel, ExplainNode, ExplainReport};
 pub use pipeline::par::apply_parallel;
 pub use pipeline::{drain, Cursor};
 pub use plan::{compile, JoinKind, PhysPlan};
 
 use std::time::{Duration, Instant};
 
+use nal::obs::ExecTrace;
 use nal::{EvalCtx, EvalResult, Expr, Metrics, Seq, Tuple};
 use xmldb::Catalog;
 
@@ -51,47 +51,6 @@ pub struct QueryResult {
     pub elapsed: Duration,
 }
 
-/// Compile and execute a logical expression against a catalog.
-pub fn run(expr: &Expr, catalog: &Catalog) -> EvalResult<QueryResult> {
-    run_compiled(&compile(expr), catalog)
-}
-
-/// Execute an already-compiled plan.
-pub fn run_compiled(plan: &PhysPlan, catalog: &Catalog) -> EvalResult<QueryResult> {
-    let mut ctx = EvalCtx::new(catalog);
-    let start = Instant::now();
-    let rows = execute(plan, &Tuple::empty(), &mut ctx)?;
-    let elapsed = start.elapsed();
-    Ok(QueryResult {
-        rows,
-        output: ctx.take_output(),
-        metrics: ctx.metrics,
-        elapsed,
-    })
-}
-
-/// Compile and execute a logical expression with the streaming, pipelined
-/// executor ([`pipeline`]): tuples flow one at a time, and semi/anti
-/// (quantifier) joins short-circuit per probe tuple. Produces the same
-/// rows and byte-identical Ξ output as [`run`].
-pub fn run_streaming(expr: &Expr, catalog: &Catalog) -> EvalResult<QueryResult> {
-    run_streaming_compiled(&compile(expr), catalog)
-}
-
-/// Execute an already-compiled plan with the streaming executor.
-pub fn run_streaming_compiled(plan: &PhysPlan, catalog: &Catalog) -> EvalResult<QueryResult> {
-    let mut ctx = EvalCtx::new(catalog);
-    let start = Instant::now();
-    let rows = pipeline::execute_streaming(plan, &Tuple::empty(), &mut ctx)?;
-    let elapsed = start.elapsed();
-    Ok(QueryResult {
-        rows,
-        output: ctx.take_output(),
-        metrics: ctx.metrics,
-        elapsed,
-    })
-}
-
 /// Compile with index-backed access paths: [`compile`] followed by the
 /// [`access::apply_indexes`] rewrite. Document-rooted path scans become
 /// [`PhysPlan::IndexScan`]s and hash semi/anti joins over such scans
@@ -101,48 +60,42 @@ pub fn compile_indexed(expr: &Expr, catalog: &Catalog) -> PhysPlan {
     access::apply_indexes(compile(expr), catalog)
 }
 
-/// [`run`] on an index-backed plan ([`compile_indexed`]).
-pub fn run_indexed(expr: &Expr, catalog: &Catalog) -> EvalResult<QueryResult> {
-    run_compiled(&compile_indexed(expr, catalog), catalog)
-}
-
-/// [`run_streaming`] on an index-backed plan ([`compile_indexed`]).
-pub fn run_streaming_indexed(expr: &Expr, catalog: &Catalog) -> EvalResult<QueryResult> {
-    run_streaming_compiled(&compile_indexed(expr, catalog), catalog)
-}
-
-/// Compile with parallel segments: [`compile`] followed by the
-/// [`apply_parallel`] rewrite. The resulting plan is degree-independent
-/// — run it with [`run_streaming_parallel`] (or set `EvalCtx::parallel`
-/// yourself) to pick the worker count per execution; degree 1 executes
-/// the segments inline.
-pub fn compile_parallel(expr: &Expr) -> PhysPlan {
-    apply_parallel(&compile(expr))
-}
-
-/// [`compile_indexed`] followed by the [`apply_parallel`] rewrite:
-/// index-backed access paths *and* morsel-parallel segments.
-pub fn compile_indexed_parallel(expr: &Expr, catalog: &Catalog) -> PhysPlan {
-    apply_parallel(&access::apply_indexes(compile(expr), catalog))
-}
-
-/// Execute an already-compiled plan with the streaming executor at an
-/// explicit degree of parallelism. Output rows, Ξ bytes, and summed
-/// metrics are identical to [`run_streaming_compiled`] at every degree.
+/// Execute a compiled plan with the streaming executor ([`pipeline`]):
+/// tuples flow one at a time, and semi/anti (quantifier) joins
+/// short-circuit per probe tuple. `workers` is the degree of parallelism
+/// for the plan's [`apply_parallel`] segments; output rows, Ξ bytes, and
+/// summed metrics are identical at every degree, and degree 1 runs the
+/// segments inline.
 pub fn run_streaming_parallel(
     plan: &PhysPlan,
     catalog: &Catalog,
     workers: usize,
 ) -> EvalResult<QueryResult> {
+    run_plan(plan, catalog, workers, false).map(|(result, _)| result)
+}
+
+/// The runner behind [`run_streaming_parallel`] and
+/// [`run_streaming_traced_parallel`]: one execution, optionally traced.
+fn run_plan(
+    plan: &PhysPlan,
+    catalog: &Catalog,
+    workers: usize,
+    traced: bool,
+) -> EvalResult<(QueryResult, Option<ExecTrace>)> {
     let mut ctx = EvalCtx::new(catalog);
     ctx.parallel = workers.max(1);
+    if traced {
+        ctx.enable_trace();
+    }
     let start = Instant::now();
     let rows = pipeline::execute_streaming(plan, &Tuple::empty(), &mut ctx)?;
     let elapsed = start.elapsed();
-    Ok(QueryResult {
+    let trace = ctx.take_trace();
+    let result = QueryResult {
         rows,
         output: ctx.take_output(),
         metrics: ctx.metrics,
         elapsed,
-    })
+    };
+    Ok((result, trace))
 }

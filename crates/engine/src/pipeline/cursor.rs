@@ -4,7 +4,7 @@
 //! iterator model of Volcano-style engines, adapted to this repo's
 //! evaluation contexts: `next` threads the shared [`EvalCtx`] so nested
 //! scalar evaluation, Ξ output, and metrics work exactly as in the
-//! materializing executor.
+//! reference evaluator.
 
 use std::sync::Arc;
 
@@ -57,8 +57,8 @@ impl Cursor for Metered<'_> {
         }
         // Traced run: per-pull inclusive timing plus index-probe deltas,
         // accumulated under the plan node's identity. Children are pulled
-        // inside `inner.next`, so like the materializing executor the
-        // recorded time is inclusive of the subtree.
+        // inside `inner.next`, so the recorded time is inclusive of the
+        // subtree.
         let start = std::time::Instant::now();
         let (lookups0, hits0) = (ctx.metrics.index_lookups, ctx.metrics.index_hits);
         let item = self.inner.next(ctx)?;
@@ -82,8 +82,8 @@ impl Cursor for Metered<'_> {
 
 /// An input side of a binary operator: normally a pipelined stream, but
 /// switchable to a pre-materialized buffer when side-effect order (Ξ
-/// output in a subtree) requires the materializing executor's strict
-/// left-then-right evaluation order.
+/// output in a subtree) requires the definitional strict left-then-right
+/// evaluation order.
 pub enum Feed<'p> {
     /// A live pipelined stream.
     Stream(BoxCursor<'p>),
@@ -121,7 +121,7 @@ impl Feed<'_> {
 /// A pass-through that drains its input on the first pull and then
 /// streams from the buffer. Lowering inserts it below an operator whose
 /// own scalars write Ξ output when the input subtree also writes Ξ: the
-/// materializing executor evaluates strictly bottom-up, so the input's
+/// definitional evaluation runs strictly bottom-up, so the input's
 /// entire byte stream must precede the parent's first write.
 pub struct Materialize<'p> {
     /// Input cursor.

@@ -10,15 +10,15 @@
 //! candidates actually examined, which is how tests observe the
 //! short-circuit.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use nal::eval::scalar::truthy;
 use nal::eval::{apply_groupfn, eval, EvalCtx, EvalResult};
 use nal::{GroupFn, Scalar, Sym, Tuple};
 
 use super::cursor::{Cursor, Feed};
-use crate::exec::scoped;
-use crate::key::{key_of, Key};
+use super::scoped;
+use crate::key::{KeyTable, Probe};
 use crate::plan::JoinKind;
 
 /// × — materialize the right side, stream the left.
@@ -28,7 +28,7 @@ pub struct Cross<'p> {
     /// Right (build/inner) input.
     pub right: Feed<'p>,
     /// Materialize left before right (Ξ in a subtree needs the
-    /// materializing executor's left-then-right evaluation order).
+    /// definitional left-then-right evaluation order).
     pub strict: bool,
     /// Materialized right side.
     pub right_rows: Option<Vec<Tuple>>,
@@ -103,14 +103,12 @@ pub struct HashJoin<'p> {
     pub env: Tuple,
     /// Materialize left before right (Ξ evaluation-order barrier).
     pub strict: bool,
-    /// Build state: bucket storage + key index (separate so iteration
-    /// state can hold plain indices).
-    pub bucket_rows: Vec<Vec<Tuple>>,
-    /// Key → bucket slot.
-    pub bucket_index: Option<HashMap<Key, usize>>,
-    /// Inner/outer iteration state: (probe tuple, bucket, position,
-    /// matched-so-far).
-    pub cur: Option<(Tuple, Option<usize>, usize, bool)>,
+    /// Build table: built from `right` on first pull, or prebuilt and
+    /// shared by the workers of a parallel segment.
+    pub table: Option<Arc<KeyTable>>,
+    /// Inner/outer iteration state: (probe tuple, its candidates, next
+    /// candidate position, matched-so-far).
+    pub cur: Option<(Tuple, Probe, usize, bool)>,
 }
 
 impl HashJoin<'_> {
@@ -119,19 +117,12 @@ impl HashJoin<'_> {
             self.left.buffer_now(ctx)?;
         }
         let rows = self.right.take_all(ctx)?;
-        // Pre-size from the build-side cardinality (satellite of the
-        // paper's hash-operator discussion: no rehashing during build).
-        let mut index: HashMap<Key, usize> = HashMap::with_capacity(rows.len());
-        for rt in rows {
-            if let Some(k) = key_of(&rt, self.right_keys, ctx.catalog) {
-                let slot = *index.entry(k).or_insert_with(|| {
-                    self.bucket_rows.push(Vec::new());
-                    self.bucket_rows.len() - 1
-                });
-                self.bucket_rows[slot].push(rt);
-            }
-        }
-        self.bucket_index = Some(index);
+        self.table = Some(Arc::new(KeyTable::build(
+            rows,
+            self.right_keys,
+            nal::cmp_general,
+            ctx.catalog,
+        )));
         Ok(())
     }
 
@@ -145,23 +136,24 @@ impl HashJoin<'_> {
 
 impl Cursor for HashJoin<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        if self.bucket_index.is_none() {
+        if self.table.is_none() {
             self.build(ctx)?;
         }
         loop {
-            // Resume an inner/outer probe mid-bucket.
-            if let Some((lt, slot, mut pos, mut matched)) = self.cur.take() {
-                if let Some(slot) = slot {
-                    while pos < self.bucket_rows[slot].len() {
-                        let rt = self.bucket_rows[slot][pos].clone();
-                        pos += 1;
-                        ctx.metrics.probe_tuples += 1;
-                        let joined = lt.concat(&rt);
-                        if self.residual_passes(&joined, ctx)? {
-                            matched = true;
-                            self.cur = Some((lt, Some(slot), pos, matched));
-                            return Ok(Some(joined));
-                        }
+            // Resume an inner/outer probe mid-candidates.
+            if let Some((lt, probe, pos, mut matched)) = self.cur.take() {
+                let table = self.table.as_ref().expect("built");
+                let mut next = pos;
+                while let Some((i, rt)) =
+                    table.next_match(probe, next, &lt, self.left_keys, ctx.catalog)
+                {
+                    next = i + 1;
+                    ctx.metrics.probe_tuples += 1;
+                    let joined = lt.concat(rt);
+                    if self.residual_passes(&joined, ctx)? {
+                        matched = true;
+                        self.cur = Some((lt, probe, next, matched));
+                        return Ok(Some(joined));
                     }
                 }
                 if !matched {
@@ -174,25 +166,24 @@ impl Cursor for HashJoin<'_> {
             let Some(lt) = self.left.next(ctx)? else {
                 return Ok(None);
             };
-            let slot = key_of(&lt, self.left_keys, ctx.catalog)
-                .and_then(|k| self.bucket_index.as_ref().expect("built").get(&k))
-                .copied();
+            let table = self.table.as_ref().expect("built");
+            let probe = table.probe(&lt, self.left_keys, ctx.catalog);
             match self.kind {
                 JoinKind::Inner | JoinKind::Outer { .. } => {
-                    self.cur = Some((lt, slot, 0, false));
+                    self.cur = Some((lt, probe, 0, false));
                 }
                 JoinKind::Semi | JoinKind::Anti => {
+                    // Short-circuit: the first passing match decides.
                     let mut matched = false;
-                    if let Some(slot) = slot {
-                        // Short-circuit: the first passing match decides.
-                        for pos in 0..self.bucket_rows[slot].len() {
-                            let rt = self.bucket_rows[slot][pos].clone();
-                            ctx.metrics.probe_tuples += 1;
-                            let joined = lt.concat(&rt);
-                            if self.residual_passes(&joined, ctx)? {
-                                matched = true;
-                                break;
-                            }
+                    let mut next = 0;
+                    while let Some((i, rt)) =
+                        table.next_match(probe, next, &lt, self.left_keys, ctx.catalog)
+                    {
+                        next = i + 1;
+                        ctx.metrics.probe_tuples += 1;
+                        if self.residual_passes(&lt.concat(rt), ctx)? {
+                            matched = true;
+                            break;
                         }
                     }
                     let emit = matches!(self.kind, JoinKind::Semi) == matched;
@@ -301,9 +292,9 @@ impl Cursor for LoopJoin<'_> {
 /// reconstructed candidates in document order when present.
 /// Short-circuits exactly like the hash cursors: the first passing
 /// candidate decides. Probe semantics and metric accounting are shared
-/// with the materializing executor through the recipe runtime
-/// ([`crate::access::IndexJoinAccess`]), so both executors report
-/// identical `index_lookups`/`index_hits` by construction.
+/// with the parallel workers through the recipe runtime
+/// ([`crate::access::IndexJoinAccess`]), so serial and parallel runs
+/// report identical `index_lookups`/`index_hits` by construction.
 pub struct IndexJoin<'p> {
     /// Left (probe/outer) input.
     pub left: super::cursor::BoxCursor<'p>,
@@ -314,8 +305,8 @@ pub struct IndexJoin<'p> {
     /// Resolved index state (first pull).
     pub access: Option<crate::access::IndexJoinAccess>,
     /// Whether the decision is probe-invariant (constant range bounds,
-    /// no residual) — computed once at lowering, same policy as the
-    /// materializing executor, so metrics stay equal.
+    /// no residual) — computed once at lowering, so a parallel segment
+    /// and a serial run issue the same single lookup.
     pub cacheable: bool,
     /// Memoized decision for probe-invariant joins.
     pub cached: Option<bool>,
@@ -370,33 +361,31 @@ pub struct HashGroupBinary<'p> {
     pub env: Tuple,
     /// Materialize left before right (Ξ evaluation-order barrier).
     pub strict: bool,
-    /// Key → group members.
-    pub buckets: Option<HashMap<Key, Vec<Tuple>>>,
+    /// Build table (first pull).
+    pub table: Option<KeyTable>,
 }
 
 impl Cursor for HashGroupBinary<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        if self.buckets.is_none() {
+        if self.table.is_none() {
             if self.strict {
                 self.left.buffer_now(ctx)?;
             }
             let rows = self.right.take_all(ctx)?;
-            let mut buckets: HashMap<Key, Vec<Tuple>> = HashMap::with_capacity(rows.len());
-            for rt in rows {
-                if let Some(k) = key_of(&rt, self.right_on, ctx.catalog) {
-                    buckets.entry(k).or_default().push(rt);
-                }
-            }
-            self.buckets = Some(buckets);
+            self.table = Some(KeyTable::build(
+                rows,
+                self.right_on,
+                nal::cmp_atomic,
+                ctx.catalog,
+            ));
         }
         let Some(lt) = self.left.next(ctx)? else {
             return Ok(None);
         };
-        let empty: Vec<Tuple> = Vec::new();
-        let members = key_of(&lt, self.left_on, ctx.catalog)
-            .and_then(|k| self.buckets.as_ref().expect("built").get(&k))
-            .unwrap_or(&empty);
-        let v = apply_groupfn(self.f, members, &self.env, ctx)?;
+        let table = self.table.as_ref().expect("built");
+        let probe = table.probe(&lt, self.left_on, ctx.catalog);
+        let members = table.matches(probe, &lt, self.left_on, ctx.catalog);
+        let v = apply_groupfn(self.f, &members, &self.env, ctx)?;
         Ok(Some(lt.extend(self.g, v)))
     }
 
@@ -431,8 +420,8 @@ pub struct ThetaGroupBinary<'p> {
 impl Cursor for ThetaGroupBinary<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
         if self.out.is_none() {
-            // Left first — matching the materializing executor's
-            // evaluation order for any side effects.
+            // Left first — matching the definitional evaluation order
+            // for any side effects.
             let l = self.left.take_all(ctx)?;
             let r = self.right.take_all(ctx)?;
             let logical = nal::Expr::GroupBinary {

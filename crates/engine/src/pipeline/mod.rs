@@ -1,8 +1,6 @@
 //! The streaming, pipelined executor.
 //!
-//! Where [`crate::exec`] materializes every operator's full output ("Vec
-//! in, Vec out" — the setup the paper's experiments ran on), this module
-//! lowers a [`PhysPlan`] into a tree of pull-based [`Cursor`]s that
+//! Lowers a [`PhysPlan`] into a tree of pull-based [`Cursor`]s that
 //! produce one tuple per call:
 //!
 //! * **Pipelined operators** (σ, Π, χ, μ, Υ, Ξ, probe sides of joins)
@@ -17,12 +15,13 @@
 //!   right-input insertion order so every join emits exactly the
 //!   definitional order (the order-preserving hash join of §2).
 //!
-//! Ξ ordering: the materializing executor evaluates strictly bottom-up
-//! and left-to-right, so a plan with *multiple* Ξ operators writes its
-//! output stream in that order. Lowering detects the (rare) plans where
-//! pipelining would interleave Ξ writes — a Ξ operator or a binary
-//! operator with Ξ in a subtree — and falls back to materializing the
-//! affected inputs, keeping `run_streaming` byte-identical to `run`.
+//! Ξ ordering: the definitional evaluator ([`nal::eval_query`]) evaluates
+//! strictly bottom-up and left-to-right, so a plan with *multiple* Ξ
+//! operators writes its output stream in that order. Lowering detects
+//! the (rare) plans where pipelining would interleave Ξ writes — a Ξ
+//! operator or a binary operator with Ξ in a subtree — and falls back to
+//! materializing the affected inputs ([`cursor::Materialize`]), keeping
+//! the Ξ stream byte-identical to the definitional one.
 
 pub mod cursor;
 pub mod join;
@@ -32,12 +31,16 @@ pub mod par;
 
 pub use cursor::{drain, BoxCursor, Cursor};
 
-use nal::eval::{EvalCtx, EvalResult};
-use nal::{Seq, Tuple};
+use std::borrow::Cow;
+use std::collections::HashMap;
+
+use nal::eval::{atomize_tuple, dedup_by_value, EvalCtx, EvalResult};
+use nal::{CmpOp, ProjOp, Seq, Sym, Tuple, Value};
 
 use nal::expr::visit;
 use nal::Scalar;
 
+use crate::key::{Key, KeyVal};
 use crate::plan::PhysPlan;
 use cursor::{AttrRel, Feed, Literal, Materialize, Metered, Once};
 
@@ -121,7 +124,7 @@ fn contains_xi(plan: &PhysPlan) -> bool {
 /// Lower a pipelined unary operator's input, inserting a [`Materialize`]
 /// barrier when both the operator itself and its input subtree write Ξ
 /// output — so the input's whole byte stream precedes the parent's first
-/// write, as in the materializing executor's bottom-up order.
+/// write, as in the definitional bottom-up order.
 fn lower_input<'p>(parent: &'p PhysPlan, input: &'p PhysPlan, env: &Tuple) -> BoxCursor<'p> {
     let inner = lower(input, env);
     if node_emits_xi(parent) && contains_xi(input) {
@@ -134,8 +137,8 @@ fn lower_input<'p>(parent: &'p PhysPlan, input: &'p PhysPlan, env: &Tuple) -> Bo
     }
 }
 
-/// Binary operators evaluate left-then-right in the materializing
-/// executor; when either subtree writes Ξ output the streaming cursors
+/// Binary operators evaluate left-then-right in the definitional
+/// evaluator; when either subtree writes Ξ output the streaming cursors
 /// must reproduce that order by buffering the left side first.
 fn needs_strict_order(left: &PhysPlan, right: &PhysPlan) -> bool {
     contains_xi(left) || contains_xi(right)
@@ -209,8 +212,7 @@ pub fn lower<'p>(plan: &'p PhysPlan, env: &Tuple) -> BoxCursor<'p> {
             kind,
             pad,
             env: env.clone(),
-            bucket_rows: Vec::new(),
-            bucket_index: None,
+            table: None,
             cur: None,
         }),
         PhysPlan::LoopJoin {
@@ -269,7 +271,7 @@ pub fn lower<'p>(plan: &'p PhysPlan, env: &Tuple) -> BoxCursor<'p> {
             right_on,
             f,
             env: env.clone(),
-            buckets: None,
+            table: None,
         }),
         PhysPlan::ThetaGroupBinary {
             left,
@@ -348,7 +350,7 @@ pub fn lower<'p>(plan: &'p PhysPlan, env: &Tuple) -> BoxCursor<'p> {
         }),
         PhysPlan::IndexJoin { left, recipe } => Box::new(join::IndexJoin {
             // A Ξ-writing residual must see the whole left byte stream
-            // first, as in the materializing executor's bottom-up order.
+            // first, as in the definitional bottom-up order.
             left: lower_input(plan, left, env),
             recipe,
             env: env.clone(),
@@ -365,9 +367,88 @@ pub fn lower<'p>(plan: &'p PhysPlan, env: &Tuple) -> BoxCursor<'p> {
     })
 }
 
-/// Execute a plan by streaming it to exhaustion — the cursor-level
-/// equivalent of [`crate::exec::execute`].
+/// Execute a plan by streaming it to exhaustion.
 pub fn execute_streaming(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
     let mut root = lower(plan, env);
     drain(root.as_mut(), ctx)
+}
+
+/// Evaluation scope of a tuple under an environment. Top-level plans run
+/// with an empty environment, where `env.concat(t)` would just clone `t`
+/// — borrow it instead so the hot σ/χ/Υ/⋈ loops allocate nothing extra.
+pub(crate) fn scoped<'a>(env: &Tuple, t: &'a Tuple) -> Cow<'a, Tuple> {
+    if env.is_empty() {
+        Cow::Borrowed(t)
+    } else {
+        Cow::Owned(env.concat(t))
+    }
+}
+
+/// Apply a projection to a block of rows. The access-path probe runtime
+/// replays recorded `Project` build operators per reconstructed
+/// candidate with it.
+pub(crate) fn project_rows(rows: &[Tuple], op: &ProjOp, ctx: &EvalCtx<'_>) -> Seq {
+    match op {
+        ProjOp::Cols(cols) => rows.iter().map(|t| t.project(cols)).collect(),
+        ProjOp::Drop(cols) => rows.iter().map(|t| t.without(cols)).collect(),
+        ProjOp::Rename(pairs) => rows.iter().map(|t| t.rename(pairs)).collect(),
+        ProjOp::DistinctCols(cols) => {
+            let projected: Seq = rows
+                .iter()
+                .map(|t| atomize_tuple(&t.project(cols), ctx.catalog))
+                .collect();
+            dedup_by_value(&projected, ctx.catalog)
+        }
+        ProjOp::DistinctRename(pairs) => {
+            let old: Vec<Sym> = pairs.iter().map(|(_, o)| *o).collect();
+            let projected: Seq = rows
+                .iter()
+                .map(|t| atomize_tuple(&t.project(&old).rename(pairs), ctx.catalog))
+                .collect();
+            dedup_by_value(&projected, ctx.catalog)
+        }
+    }
+}
+
+/// Single-pass grouping in first-occurrence key order, atomized keys —
+/// the build step of the blocking group cursors. The result is the
+/// definitional grouping ([`nal::eval::theta_groups`] with `=`), which
+/// hashing reproduces only while each key column holds one class of
+/// value on which value identity, key equality and the definitional
+/// `=` coincide: strings, booleans, or integers within `f64` precision.
+/// Anything else — decimals (`2` and `2.0` are two groups that overlap),
+/// NULL (a group of its own with no members), missing or sequence
+/// values, mixed classes — is grouped by the definition instead.
+pub(crate) fn hash_groups(
+    rows: &[Tuple],
+    by: &[Sym],
+    ctx: &EvalCtx<'_>,
+) -> Vec<(Tuple, Vec<Tuple>)> {
+    let mut index: HashMap<Key, usize> = HashMap::with_capacity(rows.len().min(1024));
+    let mut groups: Vec<(Tuple, Vec<Tuple>)> = Vec::new();
+    let mut classes = vec![0u8; by.len()];
+    for t in rows {
+        let mut key: Key = Vec::with_capacity(by.len());
+        for (a, seen) in by.iter().zip(classes.iter_mut()) {
+            let atom = t.get(*a).map(|v| v.atomize(ctx.catalog));
+            let class = match &atom {
+                Some(Value::Str(_)) => 1,
+                Some(Value::Bool(_)) => 2,
+                Some(Value::Int(i)) if i.unsigned_abs() <= 1 << f64::MANTISSA_DIGITS => 4,
+                _ => 0,
+            };
+            *seen |= class;
+            if class == 0 || *seen != class {
+                return nal::eval::theta_groups(rows, by, CmpOp::Eq, ctx.catalog);
+            }
+            key.push(KeyVal::from_value(&atom.expect("classed"), ctx.catalog));
+        }
+        let idx = *index.entry(key).or_insert_with(|| {
+            let key_tuple = atomize_tuple(&t.project(by), ctx.catalog);
+            groups.push((key_tuple, Vec::new()));
+            groups.len() - 1
+        });
+        groups[idx].1.push(t.clone());
+    }
+    groups
 }

@@ -9,7 +9,7 @@ use nal::eval::{apply_groupfn, atomize_tuple, eval, xi, EvalCtx, EvalError, Eval
 use nal::{GroupFn, ProjOp, Scalar, Sym, Tuple, Value, XiCmd};
 
 use super::cursor::{drain, BoxCursor, Cursor};
-use crate::exec::{hash_groups, scoped};
+use super::{hash_groups, scoped};
 
 /// σ — filter, one pull per surviving tuple.
 pub struct Select<'p> {
@@ -250,8 +250,7 @@ impl Cursor for IndexScan<'_> {
 /// Ξ — result construction, fully pipelined: each pulled tuple is
 /// serialized and passed through. When the input subtree itself writes Ξ
 /// output, lowering inserts a `Materialize` barrier below this cursor so
-/// the byte stream matches the materializing executor's strict bottom-up
-/// order.
+/// the byte stream matches the definitional strict bottom-up order.
 pub struct XiSimple<'p> {
     /// Input cursor.
     pub input: BoxCursor<'p>,
@@ -352,8 +351,8 @@ impl Cursor for HashGroupUnary<'_> {
     }
 }
 
-/// θ-grouping fallback: materialize, delegate to the reference semantics
-/// (as the materializing executor does), stream the result.
+/// θ-grouping fallback: materialize, delegate to the reference
+/// semantics, stream the result.
 pub struct ThetaGroupUnary<'p> {
     /// Input cursor.
     pub input: BoxCursor<'p>,

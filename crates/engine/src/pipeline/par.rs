@@ -47,11 +47,11 @@ use nal::eval::scalar::truthy;
 use nal::eval::{EvalCtx, EvalError, EvalResult};
 use nal::{ProjOp, Scalar, Sym, Tuple, Value};
 
-use super::cursor::{drain, BoxCursor, Cursor, Metered};
+use super::cursor::{drain, BoxCursor, Cursor, Feed, Metered};
 use super::merge::{merge_runs, MorselKey, Run};
 use super::ops;
-use crate::exec::scoped;
-use crate::key::{key_of, Key};
+use super::scoped;
+use crate::key::KeyTable;
 use crate::plan::{JoinKind, PhysPlan};
 
 /// Morsels enqueued per worker: enough granularity for stealing to fix
@@ -194,26 +194,9 @@ fn replace_spine_input(node: &PhysPlan, new_input: PhysPlan) -> PhysPlan {
     out
 }
 
-/// Splice a drained source into a stage pipeline by replacing its
-/// [`PhysPlan::MorselFeed`] leaf with a literal relation — the
-/// materializing executor's way of running a parallel segment (inline,
-/// single-threaded, same output).
-pub(crate) fn substitute_feed(plan: &PhysPlan, rows: &[Tuple]) -> PhysPlan {
-    if matches!(plan, PhysPlan::MorselFeed) {
-        return PhysPlan::Literal(rows.to_vec());
-    }
-    crate::access::map_children(plan.clone(), &mut |child| substitute_feed(&child, rows))
-}
-
 // ---------------------------------------------------------------------
 // Shared per-segment state
 // ---------------------------------------------------------------------
-
-/// A hash join's build table, prepared once per segment.
-struct HashBuild {
-    bucket_rows: Vec<Vec<Tuple>>,
-    bucket_index: HashMap<Key, usize>,
-}
 
 /// Claim-or-wait protocol for probe-invariant index joins: the decision
 /// depends on nothing but constant bounds, so exactly one probe must
@@ -234,6 +217,8 @@ enum ProbeState {
     InFlight,
     /// The published decision.
     Done(bool),
+    /// The claiming worker's probe panicked; there is no verdict.
+    Poisoned,
 }
 
 impl ProbeGroup {
@@ -246,12 +231,20 @@ impl ProbeGroup {
 
     /// Return the group's decision, computing it via `probe` if this
     /// caller wins the claim. On probe error the claim is released so a
-    /// sibling can retry rather than deadlock.
+    /// sibling can retry rather than deadlock; if `probe` panics, the
+    /// group is poisoned so waiting siblings return an error (and the
+    /// segment's thread scope can join and re-raise the panic) instead
+    /// of waiting forever.
     fn decide(&self, probe: impl FnOnce() -> EvalResult<bool>) -> EvalResult<bool> {
         let mut st = self.state.lock().expect("probe group lock");
         loop {
             match *st {
                 ProbeState::Done(m) => return Ok(m),
+                ProbeState::Poisoned => {
+                    return Err(EvalError::new(
+                        "index probe panicked in a sibling worker".to_string(),
+                    ))
+                }
                 ProbeState::Open => {
                     *st = ProbeState::InFlight;
                     break;
@@ -260,15 +253,30 @@ impl ProbeGroup {
             }
         }
         drop(st);
+        let unwind_guard = PoisonOnUnwind(self);
         let res = probe();
-        let mut st = self.state.lock().expect("probe group lock");
-        *st = match &res {
+        std::mem::forget(unwind_guard);
+        self.publish(match &res {
             Ok(m) => ProbeState::Done(*m),
             Err(_) => ProbeState::Open,
-        };
-        drop(st);
-        self.cv.notify_all();
+        });
         res
+    }
+
+    fn publish(&self, state: ProbeState) {
+        // The lock is never held across a probe, so it cannot be
+        // poisoned; recover anyway rather than panic while unwinding.
+        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = state;
+        self.cv.notify_all();
+    }
+}
+
+/// Armed while a claimed probe runs; dropped only if the probe unwinds.
+struct PoisonOnUnwind<'a>(&'a ProbeGroup);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        self.0.publish(ProbeState::Poisoned);
     }
 }
 
@@ -280,7 +288,7 @@ struct SegmentShared {
     /// Resolved [`PhysPlan::IndexScan`] item sequences.
     scans: HashMap<usize, Arc<Vec<Value>>>,
     /// Hash-join build tables.
-    builds: HashMap<usize, Arc<HashBuild>>,
+    builds: HashMap<usize, Arc<KeyTable>>,
     /// Materialized inner sides of loop joins and cross products.
     inners: HashMap<usize, Arc<Vec<Tuple>>>,
     /// Early-cancel groups for probe-invariant index joins.
@@ -317,19 +325,7 @@ impl SegmentShared {
                     ..
                 } => {
                     let rows = drain_plan(right, env, ctx)?;
-                    let mut build = HashBuild {
-                        bucket_rows: Vec::new(),
-                        bucket_index: HashMap::with_capacity(rows.len()),
-                    };
-                    for rt in rows {
-                        if let Some(k) = key_of(&rt, right_keys, ctx.catalog) {
-                            let slot = *build.bucket_index.entry(k).or_insert_with(|| {
-                                build.bucket_rows.push(Vec::new());
-                                build.bucket_rows.len() - 1
-                            });
-                            build.bucket_rows[slot].push(rt);
-                        }
-                    }
+                    let build = KeyTable::build(rows, right_keys, nal::cmp_general, ctx.catalog);
                     shared.builds.insert(addr, Arc::new(build));
                     cur = left;
                 }
@@ -450,96 +446,6 @@ fn unmatched_output(kind: &JoinKind, pad: &[Sym], lt: &Tuple) -> Option<Tuple> {
             Some(lt.concat(&Tuple::bottom(pad)).extend(*g, default.clone()))
         }
         JoinKind::Inner | JoinKind::Semi => None,
-    }
-}
-
-/// Worker-side hash join probing the shared build table. Probe logic —
-/// including per-candidate `probe_tuples` accounting and semi/anti
-/// short-circuiting — mirrors [`super::join::HashJoin`] exactly, so
-/// worker sums equal the serial counters.
-struct SharedHashJoin<'p> {
-    left: BoxCursor<'p>,
-    build: Arc<HashBuild>,
-    left_keys: &'p [Sym],
-    residual: Option<&'p Scalar>,
-    kind: &'p JoinKind,
-    pad: &'p [Sym],
-    env: Tuple,
-    cur: Option<(Tuple, Option<usize>, usize, bool)>,
-}
-
-impl SharedHashJoin<'_> {
-    fn residual_passes(&self, joined: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<bool> {
-        match self.residual {
-            None => Ok(true),
-            Some(p) => truthy(p, &scoped(&self.env, joined), ctx),
-        }
-    }
-}
-
-impl Cursor for SharedHashJoin<'_> {
-    fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        loop {
-            if let Some((lt, slot, mut pos, mut matched)) = self.cur.take() {
-                if let Some(slot) = slot {
-                    while pos < self.build.bucket_rows[slot].len() {
-                        let rt = self.build.bucket_rows[slot][pos].clone();
-                        pos += 1;
-                        ctx.metrics.probe_tuples += 1;
-                        let joined = lt.concat(&rt);
-                        if self.residual_passes(&joined, ctx)? {
-                            matched = true;
-                            self.cur = Some((lt, Some(slot), pos, matched));
-                            return Ok(Some(joined));
-                        }
-                    }
-                }
-                if !matched {
-                    if let Some(out) = unmatched_output(self.kind, self.pad, &lt) {
-                        return Ok(Some(out));
-                    }
-                }
-                continue;
-            }
-            let Some(lt) = self.left.next(ctx)? else {
-                return Ok(None);
-            };
-            let slot = key_of(&lt, self.left_keys, ctx.catalog)
-                .and_then(|k| self.build.bucket_index.get(&k))
-                .copied();
-            match self.kind {
-                JoinKind::Inner | JoinKind::Outer { .. } => {
-                    self.cur = Some((lt, slot, 0, false));
-                }
-                JoinKind::Semi | JoinKind::Anti => {
-                    let mut matched = false;
-                    if let Some(slot) = slot {
-                        for pos in 0..self.build.bucket_rows[slot].len() {
-                            let rt = self.build.bucket_rows[slot][pos].clone();
-                            ctx.metrics.probe_tuples += 1;
-                            let joined = lt.concat(&rt);
-                            if self.residual_passes(&joined, ctx)? {
-                                matched = true;
-                                break;
-                            }
-                        }
-                    }
-                    let emit = matches!(self.kind, JoinKind::Semi) == matched;
-                    if emit {
-                        return Ok(Some(lt));
-                    }
-                }
-            }
-        }
-    }
-
-    fn op_name(&self) -> &'static str {
-        match self.kind {
-            JoinKind::Inner => "HashJoin",
-            JoinKind::Semi => "HashSemiJoin",
-            JoinKind::Anti => "HashAntiJoin",
-            JoinKind::Outer { .. } => "HashOuterJoin",
-        }
     }
 }
 
@@ -731,18 +637,23 @@ fn lower_stage<'p>(
         PhysPlan::HashJoin {
             left,
             left_keys,
+            right_keys,
             residual,
             kind,
             pad,
             ..
-        } => Box::new(SharedHashJoin {
-            left: lower_stage(left, env, shared, feed),
-            build: shared.builds[&addr].clone(),
+        } => Box::new(super::join::HashJoin {
+            left: Feed::Stream(lower_stage(left, env, shared, feed)),
+            // Unused: the build table is prebuilt and shared.
+            right: Feed::Buffered(Vec::new().into_iter()),
             left_keys,
+            right_keys,
             residual: residual.as_ref(),
             kind,
             pad,
             env: env.clone(),
+            strict: false,
+            table: Some(shared.builds[&addr].clone()),
             cur: None,
         }),
         PhysPlan::LoopJoin {
@@ -1116,5 +1027,48 @@ mod tests {
             );
             assert_eq!(sctx.metrics.probe_tuples, pctx.metrics.probe_tuples);
         }
+    }
+
+    #[test]
+    fn panicking_probe_releases_waiting_siblings() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+        use std::thread;
+        use std::time::Duration;
+
+        let group = Arc::new(ProbeGroup::new());
+        let (claimed_tx, claimed_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let claimer = thread::spawn({
+            let group = Arc::clone(&group);
+            move || {
+                catch_unwind(AssertUnwindSafe(|| {
+                    group.decide(|| {
+                        claimed_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        panic!("probe failed");
+                    })
+                }))
+            }
+        });
+        claimed_rx.recv().unwrap();
+        let (verdict_tx, verdict_rx) = mpsc::channel();
+        let waiter = thread::spawn({
+            let group = Arc::clone(&group);
+            move || verdict_tx.send(group.decide(|| Ok(true))).unwrap()
+        });
+        // Give the waiter time to block on the condvar, then unwind the
+        // claimed probe.
+        thread::sleep(Duration::from_millis(50));
+        release_tx.send(()).unwrap();
+        assert!(
+            claimer.join().unwrap().is_err(),
+            "the probe's panic propagates"
+        );
+        let verdict = verdict_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("waiter hung behind a panicked probe");
+        assert!(verdict.is_err(), "waiter must not see a verdict");
+        waiter.join().unwrap();
     }
 }

@@ -228,7 +228,7 @@ pub enum PhysPlan {
     /// or ordered range probing; ancestor reconstruction (fixed-depth
     /// parent hops or variable-depth trail matching); the replayed
     /// pipeline and residual — is carried by the declarative
-    /// [`crate::access::AccessRecipe`], which both executors and the
+    /// [`crate::access::AccessRecipe`], which the executor and the
     /// cost model consume unchanged. Produced only by
     /// [`crate::access::apply_indexes`].
     IndexJoin {

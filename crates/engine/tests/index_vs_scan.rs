@@ -1,8 +1,9 @@
 //! Differential testing of index-backed plans: `compile_indexed` must
 //! produce byte-identical rows and Ξ output to the scan-based `compile`
-//! on **both** executors, across every plan alternative of every §5
-//! workload — and the index-backed quantifier joins must do strictly
-//! less work (fewer examined tuples) while doing it.
+//! and to the reference evaluator (`nal::eval_query`), across every plan
+//! alternative of every §5 workload — and the index-backed quantifier
+//! joins must do strictly less work (fewer examined tuples) while doing
+//! it.
 
 use proptest::prelude::*;
 
@@ -27,43 +28,32 @@ fn tuples_examined(m: &Metrics) -> u64 {
     m.probe_tuples + m.tuples_produced
 }
 
-/// Run `expr` all four ways (materialized/streaming × scan/indexed) and
-/// assert identical rows and Ξ output. Returns the streaming metrics
-/// (scan, indexed) for work comparisons.
+/// Execute a compiled plan serially with the streaming executor.
+fn run(plan: &engine::PhysPlan, cat: &Catalog) -> nal::EvalResult<engine::QueryResult> {
+    engine::run_streaming_parallel(plan, cat, 1)
+}
+
+/// Run `expr` through the reference evaluator and the engine's scan and
+/// indexed plans, and assert identical rows and Ξ output. Returns the
+/// engine metrics (scan, indexed) for work comparisons.
 fn assert_all_modes_identical(expr: &Expr, cat: &Catalog) -> (Metrics, Metrics) {
-    let scan_plan = engine::compile(expr);
-    let index_plan = engine::compile_indexed(expr, cat);
-    let m_scan = engine::run_compiled(&scan_plan, cat).expect("materialized scan");
-    let m_index = engine::run_compiled(&index_plan, cat).expect("materialized indexed");
-    let s_scan = engine::run_streaming_compiled(&scan_plan, cat).expect("streaming scan");
-    let s_index = engine::run_streaming_compiled(&index_plan, cat).expect("streaming indexed");
-    for (label, r) in [
-        ("materialized indexed", &m_index),
-        ("streaming scan", &s_scan),
-        ("streaming indexed", &s_index),
-    ] {
-        assert_eq!(r.rows, m_scan.rows, "{label}: row mismatch for {expr}");
+    let mut ctx = nal::EvalCtx::new(cat);
+    let spec_rows = nal::eval_query(expr, &mut ctx).expect("reference evaluation");
+    let spec_output = ctx.take_output();
+    let scan = run(&engine::compile(expr), cat).expect("scan");
+    let index = run(&engine::compile_indexed(expr, cat), cat).expect("indexed");
+    for (label, r) in [("scan", &scan), ("indexed", &index)] {
+        assert_eq!(r.rows, spec_rows, "{label}: row mismatch for {expr}");
         assert_eq!(
-            r.output, m_scan.output,
+            r.output, spec_output,
             "{label}: Ξ output mismatch for {expr}"
         );
     }
-    // Both executors run the same shared probe runtime, so index metric
-    // parity is a construction property — including after incremental
-    // index maintenance.
-    assert_eq!(
-        m_index.metrics.index_lookups, s_index.metrics.index_lookups,
-        "index_lookups must be executor-identical for {expr}"
-    );
-    assert_eq!(
-        m_index.metrics.index_hits, s_index.metrics.index_hits,
-        "index_hits must be executor-identical for {expr}"
-    );
-    (s_scan.metrics, s_index.metrics)
+    (scan.metrics, index.metrics)
 }
 
 // ---------------------------------------------------------------------
-// Paper workloads: every plan alternative, both executors, bytes equal
+// Paper workloads: every plan alternative, bytes equal
 // ---------------------------------------------------------------------
 
 #[test]
@@ -154,7 +144,7 @@ fn range_workloads_are_byte_identical_and_examine_fewer_tuples() {
         );
     }
     // Every plan alternative of the range workloads (including nested)
-    // stays byte-identical across all four modes.
+    // stays byte-identical to the reference on both access paths.
     for w in &ordered_unnesting::workloads::RANGE {
         let nested = xquery::compile(w.query, &catalog).expect("compiles");
         for plan in unnest::enumerate_plans(&nested, &catalog) {
@@ -169,7 +159,7 @@ fn composite_workloads_are_byte_identical_and_examine_fewer_tuples() {
     // Q9 (two-key composite probe) and Q10 (variable-depth ancestor
     // binding referenced by the residual): both former decline cases
     // must now produce index plans, byte-identical to the scan plans in
-    // all four modes, examining strictly fewer tuples.
+    // both access paths, examining strictly fewer tuples.
     for (w, op_name) in [
         (
             &ordered_unnesting::workloads::Q9_COMPOSITE,
@@ -206,37 +196,6 @@ fn composite_workloads_are_byte_identical_and_examine_fewer_tuples() {
         // Every plan alternative (including nested) stays byte-identical.
         for plan in &plans {
             assert_all_modes_identical(&plan.expr, &catalog);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Both executors report identical index metrics (parity regression)
-// ---------------------------------------------------------------------
-
-#[test]
-fn executors_report_identical_index_metrics() {
-    let catalog = standard_catalog(40, 2, 17);
-    let mut workloads: Vec<&ordered_unnesting::workloads::Workload> =
-        ordered_unnesting::workloads::ALL.iter().collect();
-    workloads.extend(ordered_unnesting::workloads::RANGE.iter());
-    workloads.extend(ordered_unnesting::workloads::COMPOSITE.iter());
-    for w in workloads {
-        let nested = xquery::compile(w.query, &catalog).expect("compiles");
-        for plan in unnest::enumerate_plans(&nested, &catalog) {
-            let indexed = engine::compile_indexed(&plan.expr, &catalog);
-            let m = engine::run_compiled(&indexed, &catalog).expect("materialized");
-            let s = engine::run_streaming_compiled(&indexed, &catalog).expect("streaming");
-            assert_eq!(
-                m.metrics.index_lookups, s.metrics.index_lookups,
-                "[{} / {}] index_lookups diverge between executors",
-                w.id, plan.label
-            );
-            assert_eq!(
-                m.metrics.index_hits, s.metrics.index_hits,
-                "[{} / {}] index_hits diverge between executors",
-                w.id, plan.label
-            );
         }
     }
 }
@@ -301,7 +260,7 @@ fn index_scan_rows_are_document_ordered_nodes() {
         "{}",
         plan.explain()
     );
-    let result = engine::run_compiled(&plan, &cat).expect("runs");
+    let result = run(&plan, &cat).expect("runs");
     let ids: Vec<NodeId> = result
         .rows
         .iter()
@@ -479,7 +438,7 @@ fn crafted_range_joins_differential() {
 fn nan_probes_match_nothing_on_scan_and_index_paths() {
     // Regression for the NaN key-semantics decision: NaN behaves like
     // NULL — an equality or inequality probe carrying NaN matches no
-    // build row on either access path, on either executor.
+    // build row on either access path.
     let mut cat = Catalog::new();
     cat.register(
         xmldb::parse_document(
@@ -505,7 +464,7 @@ fn nan_probes_match_nothing_on_scan_and_index_paths() {
             } else {
                 l.semijoin(build.clone(), pred)
             };
-            let m = engine::run_compiled(&engine::compile(&e), &cat).expect("scan");
+            let m = run(&engine::compile(&e), &cat).expect("scan");
             assert_all_modes_identical(&e, &cat);
             // Semantic pin, not just differential: the NaN and NULL rows
             // match nothing — semi drops them, anti keeps them.
@@ -524,7 +483,7 @@ fn nan_probes_match_nothing_on_scan_and_index_paths() {
     )])
     .project_syms(vec![s("v1")]);
     let e = l.semijoin(build, Scalar::attr_cmp(CmpOp::Eq, "v1", "v2"));
-    let m = engine::run_compiled(&engine::compile(&e), &cat).expect("scan");
+    let m = run(&engine::compile(&e), &cat).expect("scan");
     assert!(m.rows.is_empty(), "NaN = NaN must not match");
     assert_all_modes_identical(&e, &cat);
 }
@@ -557,7 +516,7 @@ fn negative_zero_probes_hit_positive_zero_keys() {
             let e = l.semijoin(build.clone(), pred);
             let plan = engine::compile_indexed(&e, &cat);
             assert!(plan.explain().contains("IndexRange"), "{}", plan.explain());
-            let m = engine::run_compiled(&engine::compile(&e), &cat).expect("scan");
+            let m = run(&engine::compile(&e), &cat).expect("scan");
             assert_all_modes_identical(&e, &cat);
             if op == CmpOp::Eq {
                 assert_eq!(m.rows.len(), 1, "{probe} = zero keys must match");
@@ -614,7 +573,7 @@ fn vacuous_range_quantifiers_on_empty_documents() {
         let (_, semi_m) = assert_all_modes_identical(&semi, &cat);
         assert_all_modes_identical(&anti, &cat);
         assert_eq!(semi_m.index_hits, 0);
-        let anti_rows = engine::run_compiled(&engine::compile_indexed(&anti, &cat), &cat)
+        let anti_rows = run(&engine::compile_indexed(&anti, &cat), &cat)
             .expect("runs")
             .rows;
         assert_eq!(anti_rows.len(), 2, "vacuous `every` keeps every tuple");
@@ -670,7 +629,7 @@ fn xi_output_order_is_preserved_through_index_joins() {
         ..BibConfig::default()
     }));
     // Ξ on the probe side AND the join result: byte order must match the
-    // materializing executor in all four modes.
+    // reference evaluator on both access paths.
     let probe = doc_scan("d1", "bib.xml")
         .unnest_map("t1", Scalar::attr("d1").path(p("//book/title")))
         .xi(xi_cmds(&["<probe>", "$t1", "</probe>"]));
@@ -747,7 +706,7 @@ fn crafted_composite_joins_differential() {
         seed: 14,
         ..BibConfig::default()
     });
-    // Real (title, year) pairs for hits, plus crafted misses: wrong
+    // Real (title, year) pairs for hits, plus crafted edge cases: wrong
     // pairing, unknown strings, numeric/NaN/-0.0/NULL components.
     let mut c = xpath::EvalCounters::default();
     let books = xpath::eval_path(&doc, &[NodeId::DOCUMENT], &p("//book"), &mut c);
@@ -766,9 +725,9 @@ fn crafted_composite_joins_differential() {
     let (_, y1) = pairs[1].clone();
     pairs.push((t0.clone(), y1)); // cross-pairing: likely miss
     pairs.push((Value::str("no-such-title"), Value::str("1994")));
-    pairs.push((t0.clone(), Value::Int(1994))); // numeric vs string key
+    pairs.push((t0.clone(), Value::Int(1994))); // equals a year string that parses to it
     pairs.push((t0.clone(), Value::Dec(nal::Dec(f64::NAN)))); // unmatchable
-    pairs.push((t0.clone(), Value::Dec(nal::Dec(-0.0)))); // numeric, misses string keys
+    pairs.push((t0.clone(), Value::Dec(nal::Dec(-0.0)))); // numeric, no year parses to 0
     pairs.push((t0, Value::Null)); // NULL component matches nothing
     cat.register(doc);
     let pred = Scalar::attr_cmp(CmpOp::Eq, "t1", "t2").and(Scalar::attr_cmp(CmpOp::Eq, "y1", "y2"));
@@ -1210,7 +1169,7 @@ fn mutate_corpus(cat: &mut Catalog, seed: usize) {
 }
 
 /// Run every plan alternative of every workload (equality, range, and
-/// composite) through all four modes on an *updated* corpus whose
+/// composite) through every mode on an *updated* corpus whose
 /// indexes were warmed pre-update — so the indexed runs exercise
 /// delta-maintained postings, and the scan runs are the ground truth.
 #[test]
@@ -1228,7 +1187,8 @@ fn updated_corpus_stays_byte_identical_across_all_workloads() {
         let nested = xquery::compile(w.query, &catalog)
             .unwrap_or_else(|e| panic!("[{}] compile failed: {e}", w.id));
         for plan in unnest::enumerate_plans(&nested, &catalog) {
-            engine::run_indexed(&plan.expr, &catalog).expect("warm indexed run");
+            run(&engine::compile_indexed(&plan.expr, &catalog), &catalog)
+                .expect("warm indexed run");
             plans.push(plan.expr);
         }
     }
@@ -1269,22 +1229,18 @@ fn pre_update_compiled_plans_survive_deltas() {
             let scan = engine::compile(&plan.expr);
             let indexed = engine::compile_indexed(&plan.expr, &catalog);
             // Pre-update sanity.
-            let a = engine::run_compiled(&scan, &catalog).unwrap();
-            let b = engine::run_compiled(&indexed, &catalog).unwrap();
+            let a = run(&scan, &catalog).unwrap();
+            let b = run(&indexed, &catalog).unwrap();
             assert_eq!(a.output, b.output);
             compiled.push((scan, indexed));
         }
     }
     mutate_corpus(&mut catalog, 2);
     for (scan, indexed) in &compiled {
-        let a = engine::run_compiled(scan, &catalog).expect("scan plan");
-        let b = engine::run_compiled(indexed, &catalog).expect("stale-epoch indexed plan");
-        let c = engine::run_streaming_compiled(indexed, &catalog).expect("streaming");
+        let a = run(scan, &catalog).expect("scan plan");
+        let b = run(indexed, &catalog).expect("stale-epoch indexed plan");
         assert_eq!(a.rows, b.rows, "pre-update recipe diverged after deltas");
         assert_eq!(a.output, b.output);
-        assert_eq!(a.output, c.output);
-        assert_eq!(b.metrics.index_lookups, c.metrics.index_lookups);
-        assert_eq!(b.metrics.index_hits, c.metrics.index_hits);
     }
 }
 
@@ -1300,7 +1256,7 @@ fn reregistration_rebuilds_and_recipes_recover() {
         .find(|p| p.label == "semijoin")
         .expect("semijoin plan");
     let indexed = engine::compile_indexed(&plan.expr, &catalog);
-    engine::run_compiled(&indexed, &catalog).expect("pre-update run");
+    run(&indexed, &catalog).expect("pre-update run");
     // Replace bib.xml wholesale (twice the books).
     catalog.register(gen_bib(&BibConfig {
         books: 40,
@@ -1308,7 +1264,7 @@ fn reregistration_rebuilds_and_recipes_recover() {
         seed: 3,
         ..BibConfig::default()
     }));
-    let scan = engine::run_compiled(&engine::compile(&plan.expr), &catalog).unwrap();
-    let idx = engine::run_compiled(&indexed, &catalog).expect("recipe recovers");
+    let scan = run(&engine::compile(&plan.expr), &catalog).unwrap();
+    let idx = run(&indexed, &catalog).expect("recipe recovers");
     assert_eq!(scan.output, idx.output);
 }

@@ -4,7 +4,7 @@
 //!
 //! 1. **Vacuous quantifiers** — `some $x in () satisfies p` is false and
 //!    `every $x in () satisfies p` is true, end-to-end (algebra level and
-//!    XQuery level, both executors).
+//!    XQuery level, checked against the reference evaluator).
 //! 2. **Short-circuiting** — the streaming semi/anti join cursors stop
 //!    probing a tuple's bucket at the deciding match. Observed through
 //!    the new per-operator tuple counters (`Metrics::op_tuples`) and the
@@ -13,12 +13,24 @@
 //!    cardinality*, where a non-short-circuiting nested loop would do
 //!    |left| × |right| work.
 
-use nal::{CmpOp, Expr, Scalar, Sym, Tuple, Value};
+use nal::{CmpOp, EvalCtx, Expr, Scalar, Sym, Tuple, Value};
 use xmldb::gen::{gen_bib, gen_reviews, BibConfig, ReviewsConfig};
 use xmldb::Catalog;
 
 fn s(n: &str) -> Sym {
     Sym::new(n)
+}
+
+/// Compile and stream `expr` serially.
+fn run(expr: &Expr, cat: &Catalog) -> engine::QueryResult {
+    engine::run_streaming_parallel(&engine::compile(expr), cat, 1).expect("engine runs")
+}
+
+/// The reference evaluator's rows and Ξ output for `expr`.
+fn spec(expr: &Expr, cat: &Catalog) -> (Vec<Tuple>, String) {
+    let mut ctx = EvalCtx::new(cat);
+    let rows = nal::eval_query(expr, &mut ctx).expect("reference evaluates");
+    (rows, ctx.take_output())
 }
 
 fn int_rel(attr: &str, keys: &[i64]) -> Expr {
@@ -48,14 +60,11 @@ fn some_over_empty_range_is_false() {
         range: Box::new(empty_range()),
         pred: Box::new(Scalar::cmp(CmpOp::Gt, Scalar::attr("x"), Scalar::int(0))),
     });
-    for (label, result) in [
-        ("run", engine::run(&expr, &cat).unwrap()),
-        ("run_streaming", engine::run_streaming(&expr, &cat).unwrap()),
-    ] {
+    let (spec_rows, _) = spec(&expr, &cat);
+    for (label, rows) in [("spec", spec_rows), ("engine", run(&expr, &cat).rows)] {
         assert!(
-            result.rows.is_empty(),
-            "{label}: `some $x in () …` must hold for no tuple, got {:?}",
-            result.rows
+            rows.is_empty(),
+            "{label}: `some $x in () …` must hold for no tuple, got {rows:?}"
         );
     }
 }
@@ -69,12 +78,10 @@ fn every_over_empty_range_is_true() {
         range: Box::new(empty_range()),
         pred: Box::new(Scalar::cmp(CmpOp::Gt, Scalar::attr("x"), Scalar::int(0))),
     });
-    for (label, result) in [
-        ("run", engine::run(&expr, &cat).unwrap()),
-        ("run_streaming", engine::run_streaming(&expr, &cat).unwrap()),
-    ] {
+    let (spec_rows, _) = spec(&expr, &cat);
+    for (label, rows) in [("spec", spec_rows), ("engine", run(&expr, &cat).rows)] {
         assert_eq!(
-            result.rows.len(),
+            rows.len(),
             3,
             "{label}: `every $x in () …` must hold vacuously for every tuple"
         );
@@ -113,17 +120,22 @@ fn vacuous_quantifiers_end_to_end() {
     let some_expr = xquery::compile(some_q, &cat).expect("some query compiles");
     let every_expr = xquery::compile(every_q, &cat).expect("every query compiles");
 
-    for run in [engine::run, engine::run_streaming] {
-        let some_out = run(&some_expr, &cat).expect("some runs").output;
+    for (label, some_out, every_out) in [
+        ("spec", spec(&some_expr, &cat).1, spec(&every_expr, &cat).1),
+        (
+            "engine",
+            run(&some_expr, &cat).output,
+            run(&every_expr, &cat).output,
+        ),
+    ] {
         assert!(
             some_out.is_empty(),
-            "`some` over an empty document must select nothing: {some_out}"
+            "{label}: `some` over an empty document must select nothing: {some_out}"
         );
-        let every_out = run(&every_expr, &cat).expect("every runs").output;
         assert_eq!(
             every_out.matches("<hit>").count(),
             10,
-            "`every` over an empty document must select all 10 books"
+            "{label}: `every` over an empty document must select all 10 books"
         );
     }
 }
@@ -143,7 +155,7 @@ fn hash_semijoin_short_circuits_on_first_match() {
     let right = int_rel("b", &vec![7; n]);
     let expr = left.semijoin(right, Scalar::attr_cmp(CmpOp::Eq, "a", "b"));
 
-    let r = engine::run_streaming(&expr, &cat).unwrap();
+    let r = run(&expr, &cat);
     assert_eq!(r.rows.len(), 1, "the probe tuple matches");
     assert_eq!(
         r.metrics.probe_tuples,
@@ -158,9 +170,8 @@ fn hash_semijoin_short_circuits_on_first_match() {
     );
     // The per-operator tuple counters see one tuple leave the semi join.
     assert_eq!(r.metrics.op_count("HashSemiJoin"), 1);
-    // And both executors agree on the result.
-    let m = engine::run(&expr, &cat).unwrap();
-    assert_eq!(m.rows, r.rows);
+    // And the result is the reference one.
+    assert_eq!(spec(&expr, &cat).0, r.rows);
 }
 
 /// The anti join's deciding event is also the *first* match (which
@@ -173,7 +184,7 @@ fn hash_antijoin_short_circuits_on_first_match() {
     let right = int_rel("b", &vec![7; n]);
     let expr = left.antijoin(right, Scalar::attr_cmp(CmpOp::Eq, "a", "b"));
 
-    let r = engine::run_streaming(&expr, &cat).unwrap();
+    let r = run(&expr, &cat);
     assert!(r.rows.is_empty(), "the probe tuple is matched away");
     assert_eq!(
         r.metrics.probe_tuples, 1,
@@ -199,7 +210,7 @@ fn loop_semijoin_short_circuits_on_first_match() {
         plan.explain()
     );
 
-    let r = engine::run_streaming_compiled(&plan, &cat).unwrap();
+    let r = engine::run_streaming_parallel(&plan, &cat, 1).unwrap();
     assert_eq!(r.rows.len(), 1);
     assert_eq!(r.metrics.probe_tuples, 1, "first passing candidate decides");
     assert!((r.metrics.probe_tuples as usize) < n);
@@ -213,7 +224,7 @@ fn probe_work_is_linear_in_probe_side() {
     let l: Vec<i64> = (0..100).map(|i| i % 5).collect();
     let r: Vec<i64> = (0..200).map(|i| i % 5).collect();
     let expr = int_rel("a", &l).semijoin(int_rel("b", &r), Scalar::attr_cmp(CmpOp::Eq, "a", "b"));
-    let res = engine::run_streaming(&expr, &cat).unwrap();
+    let res = run(&expr, &cat);
     assert_eq!(res.rows.len(), 100, "every probe tuple has a match");
     assert_eq!(
         res.metrics.probe_tuples, 100,
@@ -254,7 +265,7 @@ fn quantifier_workload_probes_fewer_than_input() {
     let titles = 60u64; // one title per book
     let reviews = 60u64; // one entry per review
 
-    let r = engine::run_streaming(&semijoin.expr, &cat).expect("streams");
+    let r = run(&semijoin.expr, &cat);
     assert!(r.metrics.probe_tuples > 0, "the plan does probe");
     assert!(
         r.metrics.probe_tuples < titles,
@@ -265,7 +276,6 @@ fn quantifier_workload_probes_fewer_than_input() {
         r.metrics.probe_tuples < titles * reviews,
         "and far below the nested-loop bound"
     );
-    // Differential: the streamed plan is still byte-identical to `run`.
-    let m = engine::run(&semijoin.expr, &cat).expect("runs");
-    assert_eq!(m.output, r.output);
+    // Differential: the streamed plan is byte-identical to the reference.
+    assert_eq!(spec(&semijoin.expr, &cat).1, r.output);
 }

@@ -1,12 +1,15 @@
-//! Differential testing of the streaming executor: `run_streaming` must
-//! produce the same row sequence and byte-identical Ξ output as the
-//! materializing `run` — on randomized relations over every operator
-//! kind, and on every plan alternative of every §5 workload.
+//! Differential testing of the streaming executor against materialized
+//! evaluation: the definitional evaluator (`nal::eval_query`) computes
+//! every intermediate relation in full, and the streaming executor —
+//! serially and with its morsel-parallel rewrite — must reproduce its
+//! row sequence and byte-identical Ξ output, on randomized relations
+//! over every operator kind and on every plan alternative of every §5
+//! workload.
 
 use proptest::prelude::*;
 
 use nal::expr::builder::*;
-use nal::{AggKind, CmpOp, Expr, GroupFn, Scalar, Sym, Tuple, Value};
+use nal::{eval_query, AggKind, CmpOp, EvalCtx, Expr, GroupFn, Scalar, Sym, Tuple, Value};
 use xmldb::gen::standard_catalog;
 use xmldb::Catalog;
 
@@ -25,13 +28,33 @@ fn rel(attr_a: &str, attr_b: &str, rows: &[(i64, i64)]) -> Expr {
     .project_syms(vec![s(attr_a), s(attr_b)])
 }
 
-/// Both executors on the same expression: identical rows, identical Ξ
-/// output stream.
+/// Rows and Ξ output of the definitional evaluator.
+fn materialized(expr: &Expr, cat: &Catalog) -> (Vec<Tuple>, String) {
+    let mut ctx = EvalCtx::new(cat);
+    let rows = eval_query(expr, &mut ctx).expect("definitional evaluation succeeds");
+    (rows, ctx.take_output())
+}
+
+/// The streaming executor, serial and over the morsel-parallel rewrite
+/// at two workers, each against the materialized result: identical
+/// rows, identical Ξ output stream.
 fn assert_stream_matches(expr: &Expr, cat: &Catalog) {
-    let m = engine::run(expr, cat).expect("materializing executor succeeds");
-    let p = engine::run_streaming(expr, cat).expect("streaming executor succeeds");
-    assert_eq!(m.rows, p.rows, "row mismatch for {expr}");
-    assert_eq!(m.output, p.output, "Ξ output mismatch for {expr}");
+    assert_streams_at(expr, cat, &format!("for {expr}"));
+}
+
+/// [`assert_stream_matches`] with failures tagged `at`.
+fn assert_streams_at(expr: &Expr, cat: &Catalog, at: &str) {
+    let (rows, output) = materialized(expr, cat);
+    let plan = engine::compile(expr);
+    for (label, plan, workers) in [
+        ("serial", plan.clone(), 1),
+        ("parallel", engine::apply_parallel(&plan), 2),
+    ] {
+        let r = engine::run_streaming_parallel(&plan, cat, workers)
+            .unwrap_or_else(|e| panic!("{label} streaming executor fails {at}: {e}"));
+        assert_eq!(rows, r.rows, "{label} rows differ {at}");
+        assert_eq!(output, r.output, "{label} Ξ output differs {at}");
+    }
 }
 
 proptest! {
@@ -173,7 +196,7 @@ proptest! {
     }
 
     /// Stacked Ξ operators: the streaming executor must reproduce the
-    /// materializing executor's strict bottom-up Ξ write order (the
+    /// definitional strict bottom-up Ξ write order (the
     /// lowering's eager-materialization fallback).
     #[test]
     fn stacked_xi_streams_identically(
@@ -222,7 +245,7 @@ proptest! {
                 cmds: xi_cmds(&[tag]),
             }),
         };
-        // Cross of two Ξ-emitting Maps: the materializing executor
+        // Cross of two Ξ-emitting Maps: the definitional evaluator
         // evaluates left fully, then right — the streaming Cross must
         // not build the right side first.
         let one = |a: &str, v: i64| {
@@ -261,16 +284,7 @@ fn all_paper_plans_stream_identically() {
         let nested =
             xquery::compile(query, &catalog).unwrap_or_else(|e| panic!("[{id}] compile: {e}"));
         for plan in unnest::enumerate_plans(&nested, &catalog) {
-            let m = engine::run(&plan.expr, &catalog)
-                .unwrap_or_else(|e| panic!("[{id} / {}] run: {e}", plan.label));
-            let p = engine::run_streaming(&plan.expr, &catalog)
-                .unwrap_or_else(|e| panic!("[{id} / {}] run_streaming: {e}", plan.label));
-            assert_eq!(m.rows, p.rows, "[{id} / {}] rows differ", plan.label);
-            assert_eq!(
-                m.output, p.output,
-                "[{id} / {}] Ξ output differs",
-                plan.label
-            );
+            assert_streams_at(&plan.expr, &catalog, &format!("[{id} / {}]", plan.label));
         }
     }
 }
@@ -285,13 +299,8 @@ fn paper_plans_stream_identically_across_seeds() {
             let nested =
                 xquery::compile(query, &catalog).unwrap_or_else(|e| panic!("[{id}] compile: {e}"));
             for plan in unnest::enumerate_plans(&nested, &catalog) {
-                let m = engine::run(&plan.expr, &catalog).expect("run");
-                let p = engine::run_streaming(&plan.expr, &catalog).expect("run_streaming");
-                assert_eq!(
-                    m.output, p.output,
-                    "[{id} / {} @ scale={scale} seed={seed}] Ξ output differs",
-                    plan.label
-                );
+                let at = format!("[{id} / {} @ scale={scale} seed={seed}]", plan.label);
+                assert_streams_at(&plan.expr, &catalog, &at);
             }
         }
     }

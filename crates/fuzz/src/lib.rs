@@ -2,9 +2,10 @@
 //! algebra.
 //!
 //! Randomized query + corpus + update-script generation paired with a
-//! differential execution matrix: scan vs indexed compilation ×
-//! materializing vs streaming executor × parallel degrees {1, 2, 8} ×
-//! pre/post updates under both index-maintenance modes, plus
+//! differential execution matrix: the reference evaluator
+//! (`nal::eval_query`) vs the streaming executor over scan and indexed
+//! compilation × parallel degrees {1, 2, 8} × pre/post updates under
+//! both index-maintenance modes, plus
 //! plan-equivalence (every rewrite vs the nested plan) and
 //! cost-model convertibility agreement. See `docs/ARCHITECTURE.md`
 //! ("Differential fuzzing") for the full matrix and the reproduction

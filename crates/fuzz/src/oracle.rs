@@ -5,10 +5,10 @@
 //! catalog state (pre-update and post-update, under both
 //! `MaintenanceMode::Delta` and `Rebuild`):
 //!
-//! * scan vs indexed compilation × materializing vs streaming executor
-//!   must be **byte-identical** in Ξ output and equal in rows;
-//! * the indexed plan's `index_lookups`/`index_hits` must be
-//!   executor-identical;
+//! * the streaming executor over the scan and the indexed compilation
+//!   must be **byte-identical** in Ξ output and equal in rows to the
+//!   reference evaluator (`nal::eval_query`, the paper's §2
+//!   definitions) on the same plan;
 //! * the parallel streaming executor at degrees {1, 2, 8} must match
 //!   the serial streaming run exactly — output, rows, and *full*
 //!   [`nal::Metrics`] equality — over both the scan and indexed plans;
@@ -109,83 +109,37 @@ fn fail(phase: &str, plan: &str, cell: &str, detail: String) -> Failure {
 }
 
 /// Run the full matrix for one plan expression against one catalog
-/// state; returns the reference (scan × materializing) Ξ output.
+/// state; returns the reference evaluator's Ξ output.
 fn check_matrix(
     phase: &str,
     plan_label: &str,
     expr: &nal::Expr,
     cat: &Catalog,
 ) -> Result<String, Failure> {
+    let mut ctx = nal::EvalCtx::new(cat);
+    let reference_rows = nal::eval_query(expr, &mut ctx)
+        .map_err(|e| fail(phase, plan_label, "spec", format!("evaluation failed: {e}")))?;
+    let reference = ctx.take_output();
+
     let scan_plan = engine::compile(expr);
     let idx_plan = engine::compile_indexed(expr, cat);
-    let reference = engine::run_compiled(&scan_plan, cat).map_err(|e| {
-        fail(
-            phase,
-            plan_label,
-            "scan/mat",
-            format!("execution failed: {e}"),
-        )
-    })?;
-
-    let mut cells: Vec<(&str, engine::QueryResult)> = Vec::new();
-    let scan_stream = engine::run_streaming_compiled(&scan_plan, cat).map_err(|e| {
-        fail(
-            phase,
-            plan_label,
-            "scan/stream",
-            format!("execution failed: {e}"),
-        )
-    })?;
-    let idx_mat = engine::run_compiled(&idx_plan, cat).map_err(|e| {
-        fail(
-            phase,
-            plan_label,
-            "idx/mat",
-            format!("execution failed: {e}"),
-        )
-    })?;
-    let idx_stream = engine::run_streaming_compiled(&idx_plan, cat).map_err(|e| {
-        fail(
-            phase,
-            plan_label,
-            "idx/stream",
-            format!("execution failed: {e}"),
-        )
-    })?;
-
-    if idx_mat.metrics.index_lookups != idx_stream.metrics.index_lookups
-        || idx_mat.metrics.index_hits != idx_stream.metrics.index_hits
-    {
-        return Err(fail(
-            phase,
-            plan_label,
-            "idx/mat-vs-stream",
-            format!(
-                "index metrics diverge across executors: mat {}/{} vs stream {}/{}",
-                idx_mat.metrics.index_lookups,
-                idx_mat.metrics.index_hits,
-                idx_stream.metrics.index_lookups,
-                idx_stream.metrics.index_hits
-            ),
-        ));
-    }
-
-    cells.push(("scan/stream", scan_stream));
-    cells.push(("idx/mat", idx_mat));
-    cells.push(("idx/stream", idx_stream));
-    for (cell, res) in &cells {
-        if res.output != reference.output || res.rows != reference.rows {
+    let mut serial: Vec<engine::QueryResult> = Vec::new();
+    for (cell, plan) in [("scan/stream", &scan_plan), ("idx/stream", &idx_plan)] {
+        let res = engine::run_streaming_parallel(plan, cat, 1)
+            .map_err(|e| fail(phase, plan_label, cell, format!("execution failed: {e}")))?;
+        if res.output != reference || res.rows != reference_rows {
             return Err(fail(
                 phase,
                 plan_label,
                 cell,
                 format!(
-                    "diverges from scan/mat reference:\n  reference: {}\n  cell:      {}",
-                    clip(&reference.output),
+                    "diverges from the reference evaluator:\n  reference: {}\n  cell:      {}",
+                    clip(&reference),
                     clip(&res.output)
                 ),
             ));
         }
+        serial.push(res);
     }
 
     // Parallel streaming at every degree, over both compilations; the
@@ -193,8 +147,8 @@ fn check_matrix(
     // comparison is *full* metrics equality (worker-summed counters
     // must be indistinguishable from serial).
     for (mode, plan, serial) in [
-        ("scan", &scan_plan, &cells[0].1),
-        ("idx", &idx_plan, &cells[2].1),
+        ("scan", &scan_plan, &serial[0]),
+        ("idx", &idx_plan, &serial[1]),
     ] {
         let par_plan = engine::apply_parallel(plan);
         for workers in WORKERS {
@@ -250,7 +204,7 @@ fn check_matrix(
         ));
     }
 
-    Ok(reference.output)
+    Ok(reference)
 }
 
 /// Check one case end to end. Usable both on generated cases and on

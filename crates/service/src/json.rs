@@ -37,11 +37,15 @@ pub enum Json {
 
 impl Json {
     /// Parse one JSON value from `input` (trailing whitespace allowed,
-    /// trailing garbage is an error).
+    /// trailing garbage is an error). Arrays and objects nest at most
+    /// [`MAX_DEPTH`] deep; deeper input is an error rather than a stack
+    /// overflow.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text: input,
             s: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -171,9 +175,16 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Maximum nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so the limit bounds the stack one
+/// frame can demand.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     s: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -202,8 +213,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -216,6 +227,19 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -326,13 +350,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one whole UTF-8 character (input is &str, so
-                    // boundaries are valid by construction).
-                    let rest = &self.s[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash as
+                    // one slice. Both are ASCII, so the run starts and
+                    // ends on character boundaries of the `&str` input.
+                    let run = self.s[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.s.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -380,6 +406,7 @@ mod tests {
             r#"{}"#,
             r#""plain""#,
             r#"-42"#,
+            r#"{"q":"für $t — “π” \"x\" 日本\\","é":["ü\u00e9😀"]}"#,
         ];
         for c in cases {
             let v = Json::parse(c).unwrap();
@@ -389,16 +416,31 @@ mod tests {
 
     #[test]
     fn escapes_survive() {
-        let v = Json::Str("a\"b\\c\nd\te\u{1}f — π".to_string());
+        let v = Json::Str("a\"b\\c\nd\te\u{1}f — π\"é\\日本\n😀".to_string());
         let r = v.render();
         assert!(!r.contains('\n'));
         assert_eq!(Json::parse(&r).unwrap(), v);
+        // Multi-byte characters directly before and after escapes.
+        assert_eq!(
+            Json::parse(r#""ä\"ö\\ü\u00e9日\n本""#).unwrap(),
+            Json::str("ä\"ö\\üé日\n本")
+        );
     }
 
     #[test]
     fn surrogate_pairs_decode() {
         let v = Json::parse(r#""😀""#).unwrap();
         assert_eq!(v.as_str(), Some("\u{1f600}"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).unwrap_err().contains("nesting"));
+        let deep_objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&deep_objects).unwrap_err().contains("nesting"));
     }
 
     #[test]

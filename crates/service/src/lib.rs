@@ -40,8 +40,8 @@ pub use json::Json;
 pub use metrics::{render_prometheus, HistogramSnapshot, LatencyHistogram, MetricsRegistry};
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use service::{
-    ExecMode, ExplainOutcome, QueryOutcome, QueryService, ServiceConfig, ServiceError,
-    ServiceStats, UpdateOp, UpdateReport,
+    ExplainOutcome, QueryOutcome, QueryService, ServiceConfig, ServiceError, ServiceStats,
+    UpdateOp, UpdateReport,
 };
 
 // Compile-time `Send + Sync` audit (complementing the one in `xmldb`):

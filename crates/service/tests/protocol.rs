@@ -2,7 +2,7 @@
 //! grammar, malformed input, concurrent sessions, a client that
 //! disconnects mid-stream, and graceful shutdown.
 
-use service::{serve, ExecMode, Json, QueryService, ServerConfig, ServerHandle, ServiceConfig};
+use service::{serve, Json, QueryService, ServerConfig, ServerHandle, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -22,7 +22,6 @@ fn start_server() -> ServerHandle {
     let svc = Arc::new(QueryService::new(ServiceConfig {
         cache_capacity: 16,
         use_indexes: true,
-        exec: ExecMode::Streaming,
         slow_query_us: None,
         ..ServiceConfig::default()
     }));
@@ -203,6 +202,78 @@ fn malformed_frames_do_not_kill_the_session() {
     // The session survived all of it.
     let (items, _) = c.query(TITLES);
     assert_eq!(items.len(), 2);
+    handle.shutdown();
+}
+
+/// Send one `query` frame for `q` and expect an error frame back.
+fn expect_query_error(c: &mut Client, q: &str) -> String {
+    c.send(
+        &Json::Obj(vec![
+            ("op".to_string(), Json::str("query")),
+            ("q".to_string(), Json::str(q)),
+        ])
+        .render(),
+    );
+    let v = c.recv();
+    assert_eq!(
+        v.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{}",
+        v.render()
+    );
+    v.get("error")
+        .and_then(Json::as_str)
+        .unwrap_or_default()
+        .to_string()
+}
+
+#[test]
+fn deeply_nested_frames_draw_errors_not_crashes() {
+    let mut handle = start_server();
+    let mut c = Client::connect(&handle);
+    c.load_bib();
+
+    // 5,000 nested parentheses: the query parser's recursion stops at
+    // its depth limit instead of overflowing the connection's stack.
+    let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+    let err = expect_query_error(&mut c, &parens(5_000));
+    assert!(err.contains("nests deeper"), "{err}");
+
+    // A 40 KB frame of 20,000 nested JSON arrays: same, in the frame
+    // parser.
+    c.send(&format!("{}{}", "[".repeat(20_000), "]".repeat(20_000)));
+    let v = c.recv();
+    assert_eq!(
+        v.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{}",
+        v.render()
+    );
+    assert!(v.render().contains("nesting"), "{}", v.render());
+
+    // The server is still up and the session still answers.
+    let (items, _) = c.query(TITLES);
+    assert_eq!(items.len(), 2);
+
+    // A query nested exactly to the limit runs through the whole
+    // pipeline; one level more is rejected.
+    let at_depth = |n: usize| {
+        format!(
+            r#"let $d := doc("bib.xml") for $t in $d//book/title return <t>{{ {}$t{} }}</t>"#,
+            "(".repeat(n),
+            ")".repeat(n)
+        )
+    };
+    let limit = (0..xquery::parser::MAX_DEPTH)
+        .take_while(|&n| xquery::parse_query(&at_depth(n)).is_ok())
+        .last()
+        .expect("the plain query parses");
+    assert!(limit > 0);
+    let (items, _) = c.query(&at_depth(limit));
+    assert_eq!(items.len(), 2);
+    let err = expect_query_error(&mut c, &at_depth(limit + 1));
+    assert!(err.contains("nests deeper"), "{err}");
+
     handle.shutdown();
 }
 

@@ -1,8 +1,8 @@
 //! Ordered access-path indexes.
 //!
 //! The paper's quantifier rewrites turn `some`/`every` into semi/anti
-//! joins, but both executors still *scan* full document sequences for
-//! every build and probe. This subsystem provides the order-aware access
+//! joins, but a scan-based plan still *scans* full document sequences
+//! for every build and probe. This subsystem provides the order-aware access
 //! paths that make those joins pay off at scale:
 //!
 //! * [`PathIndex`] — label path / tag → element & attribute nodes, in

@@ -215,6 +215,17 @@ impl ValueIndex {
         self.entries.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
 
+    /// Nodes whose value parses to the number of a [`ValueKey::Num`] key
+    /// — `cmp_atomic`'s coercion of a numeric probe against string
+    /// values — in document order, from the numeric view. Empty for any
+    /// other key.
+    pub fn get_numeric(&self, key: &ValueKey) -> &[NodeId] {
+        match key {
+            ValueKey::Num(bits) => self.numeric.get(bits).map(Vec::as_slice).unwrap_or(&[]),
+            _ => &[],
+        }
+    }
+
     /// `true` iff at least one node carries `key`.
     pub fn contains(&self, key: &ValueKey) -> bool {
         !self.get(key).is_empty()
@@ -429,10 +440,12 @@ pub struct CompositeEntry {
 /// full composite key replaces the hash join's build-side scan.
 ///
 /// Every stored component is a [`ValueKey::Str`] (XML nodes atomize to
-/// their string value), so probes carrying non-string components miss by
-/// design — exactly the hash operators' typed-key behaviour, and NaN /
-/// `-0.0` probe components canonicalize through [`ValueKey::num`] like
-/// every other access path (NaN → the unmatchable NULL key).
+/// their string value), so [`CompositeValueIndex::get`] answers
+/// all-string probes; a probe with a numeric or other non-string
+/// component must compare against every key ([`CompositeValueIndex::iter`])
+/// under the algebra's coercion rules. NaN / `-0.0` probe components
+/// canonicalize through [`ValueKey::num`] like every other access path
+/// (NaN → the unmatchable NULL key).
 #[derive(Clone)]
 pub struct CompositeValueIndex {
     entries: BTreeMap<Vec<ValueKey>, Vec<CompositeEntry>>,
@@ -682,6 +695,12 @@ mod tests {
         assert!(vidx.contains(&ValueKey::Str("42".into())));
         assert!(!vidx.contains(&ValueKey::num(42.0)));
         assert!(!vidx.contains(&ValueKey::Null));
+        // The numeric view answers it with `cmp_atomic`'s coercion.
+        assert_eq!(
+            vidx.get_numeric(&ValueKey::num(42.0)),
+            vidx.get(&ValueKey::Str("42".into()))
+        );
+        assert!(vidx.get_numeric(&ValueKey::Str("42".into())).is_empty());
     }
 
     #[test]

@@ -28,11 +28,17 @@ impl fmt::Display for QParseError {
 
 impl std::error::Error for QParseError {}
 
+/// Maximum nesting of expressions and element constructors a query may
+/// use. Parsing recurses once per level, so the limit bounds the stack a
+/// query can demand: deeper input is a parse error, not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete query; trailing input is an error.
 pub fn parse_query(input: &str) -> Result<QExpr, QParseError> {
     let mut p = Parser {
         s: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.ws();
     let e = p.expr()?;
@@ -46,6 +52,8 @@ pub fn parse_query(input: &str) -> Result<QExpr, QParseError> {
 struct Parser<'a> {
     s: &'a [u8],
     pos: usize,
+    /// Current expression/constructor nesting (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -182,8 +190,26 @@ impl<'a> Parser<'a> {
 
     // ----- expression grammar (precedence climbing) -------------------
 
-    /// expr := flwr | quantified | or-expr
+    /// Run `parse` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<QExpr, QParseError>,
+    ) -> Result<QExpr, QParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("query nests deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let e = parse(self);
+        self.depth -= 1;
+        e
+    }
+
     fn expr(&mut self) -> Result<QExpr, QParseError> {
+        self.nested(Self::expr_level)
+    }
+
+    /// expr := flwr | quantified | or-expr
+    fn expr_level(&mut self) -> Result<QExpr, QParseError> {
         if self.starts("for ")
             || self.starts("for\n")
             || self.starts("let ")
@@ -492,7 +518,7 @@ impl<'a> Parser<'a> {
                     Ok(QExpr::Seq(items))
                 }
             }
-            b'<' => self.constructor(),
+            b'<' => self.nested(Self::constructor),
             c if c.is_ascii_digit() => self.number(),
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let name = self.name()?;
@@ -655,7 +681,7 @@ impl<'a> Parser<'a> {
             }
             if self.peek() == b'<' {
                 flush_text(&mut text, &mut content);
-                let inner = self.constructor()?;
+                let inner = self.nested(Self::constructor)?;
                 content.push(CPart::Embed(inner));
                 continue;
             }
@@ -919,6 +945,19 @@ mod tests {
             let e = parse_query(bad).unwrap_err();
             assert!(e.offset <= bad.len(), "{e}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        // The query itself is one level; each parenthesis adds one.
+        assert!(parse_query(&nested(MAX_DEPTH - 1)).is_ok());
+        let err = parse_query(&nested(MAX_DEPTH)).unwrap_err();
+        assert!(err.message.contains("nests deeper"), "{err}");
+        assert!(parse_query(&nested(5_000)).is_err());
+        let elems = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        assert!(parse_query(&elems(MAX_DEPTH - 1)).is_ok());
+        assert!(parse_query(&elems(MAX_DEPTH)).is_err());
     }
 
     #[test]

@@ -33,7 +33,8 @@ fn main() {
         "plan", "time", "doc scans", "out bytes"
     );
     for plan in &plans {
-        let r = engine::run(&plan.expr, &catalog).expect("plan runs");
+        let r = engine::run_streaming_parallel(&engine::compile(&plan.expr), &catalog, 1)
+            .expect("plan runs");
         match &reference {
             None => reference = Some(r.output.clone()),
             Some(expected) => assert_eq!(&r.output, expected, "plan {} differs", plan.label),

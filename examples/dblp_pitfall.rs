@@ -36,12 +36,14 @@ fn main() {
         "the rewriter must refuse Eqv. 5 on the DBLP-like DTD"
     );
 
-    let sound = engine::run(&plans[0].expr, &catalog).expect("nested runs");
+    let sound = engine::run_streaming_parallel(&engine::compile(&plans[0].expr), &catalog, 1)
+        .expect("nested runs");
     let outer_join = plans
         .iter()
         .find(|p| p.label == "outer join")
         .expect("Eqv. 4 applies unconditionally");
-    let oj = engine::run(&outer_join.expr, &catalog).expect("outer join runs");
+    let oj = engine::run_streaming_parallel(&engine::compile(&outer_join.expr), &catalog, 1)
+        .expect("outer join runs");
     assert_eq!(sound.output, oj.output);
     let authors_total = sound.output.matches("<author>").count();
     println!("sound plans agree: {authors_total} authors in the result");
@@ -55,7 +57,8 @@ fn main() {
     match forced {
         None => println!("(could not force the unsound shape — nothing to demonstrate)"),
         Some(bad) => {
-            let bad_run = engine::run(&bad, &catalog).expect("unsound plan still executes");
+            let bad_run = engine::run_streaming_parallel(&engine::compile(&bad), &catalog, 1)
+                .expect("unsound plan still executes");
             let bad_authors = bad_run.output.matches("<author>").count();
             println!("unsound grouping plan returns {bad_authors} authors");
             assert!(

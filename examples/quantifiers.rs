@@ -21,7 +21,8 @@ fn main() {
         let plans = unnest::enumerate_plans(&nested, &catalog);
         let mut reference: Option<String> = None;
         for plan in &plans {
-            let r = engine::run(&plan.expr, &catalog).expect("plan runs");
+            let r = engine::run_streaming_parallel(&engine::compile(&plan.expr), &catalog, 1)
+                .expect("plan runs");
             match &reference {
                 None => reference = Some(r.output.clone()),
                 Some(expected) => {

@@ -53,8 +53,10 @@ fn main() {
     println!("{}", nal::expr::display::explain(&unnested));
 
     // 5. Execute both with the physical engine and compare.
-    let slow = engine::run(&nested, &catalog).expect("nested plan runs");
-    let fast = engine::run(&unnested, &catalog).expect("unnested plan runs");
+    let slow = engine::run_streaming_parallel(&engine::compile(&nested), &catalog, 1)
+        .expect("nested plan runs");
+    let fast = engine::run_streaming_parallel(&engine::compile(&unnested), &catalog, 1)
+        .expect("unnested plan runs");
     assert_eq!(slow.output, fast.output, "plans must agree");
 
     println!("== results ==");

@@ -3,9 +3,10 @@
 //!
 //! Every generated case — random corpus, random query over the
 //! NAL-translatable XQuery subset, random update script — runs the full
-//! execution matrix: scan vs indexed compilation × materializing vs
-//! streaming executor × parallel degrees {1, 2, 8} × pre/post updates
-//! under both index-maintenance modes, plus plan-equivalence across
+//! execution matrix: the reference evaluator (`nal::eval_query`) vs the
+//! streaming executor over scan and indexed compilation × parallel
+//! degrees {1, 2, 8} × pre/post updates under both index-maintenance
+//! modes, plus plan-equivalence across
 //! enumerated rewrites and cost-model convertibility agreement.
 //!
 //! The run is deterministic: case `i` uses seed `XQD_FUZZ_SEED + i`, so

@@ -157,7 +157,8 @@ fn arithmetic_queries_run_end_to_end() {
     // builds an Arith scalar, both evaluators agree.
     let expr = xquery::compile(q, &catalog).expect("compiles");
     let (spec_out, _) = run_plan(&expr, &catalog);
-    let eng = engine::run(&expr, &catalog).expect("engine runs");
+    let eng =
+        engine::run_streaming_parallel(&engine::compile(&expr), &catalog, 1).expect("engine runs");
     assert_eq!(eng.output, spec_out);
     assert!(
         spec_out.contains("<pricey>"),

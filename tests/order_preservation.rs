@@ -149,7 +149,7 @@ fn engine_operators_preserve_relative_order() {
         ),
     ];
     for plan in &plans {
-        let r = engine::run(plan, &catalog).unwrap();
+        let r = engine::run_streaming_parallel(&engine::compile(plan), &catalog, 1).unwrap();
         let ids: Vec<u32> = r
             .rows
             .iter()

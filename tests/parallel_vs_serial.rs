@@ -45,7 +45,7 @@ fn check_parity(id: &str, expr: &nal::Expr, catalog: &Catalog, indexed: bool) ->
     };
     let par_plan = engine::apply_parallel(&serial_plan);
     let wrapped = par_plan.explain().contains("Parallel");
-    let serial = engine::run_streaming_compiled(&serial_plan, catalog)
+    let serial = engine::run_streaming_parallel(&serial_plan, catalog, 1)
         .unwrap_or_else(|e| panic!("[{id}] serial run failed: {e}"));
     for workers in WORKERS {
         let par = engine::run_streaming_parallel(&par_plan, catalog, workers)

@@ -61,7 +61,7 @@ proptest! {
             let mut ctx = EvalCtx::new(&catalog);
             eval_query(&p.expr, &mut ctx).expect("spec evaluates");
             let spec_out = ctx.take_output();
-            let run = engine::run(&p.expr, &catalog).expect("engine evaluates");
+            let run = engine::run_streaming_parallel(&engine::compile(&p.expr), &catalog, 1).expect("engine evaluates");
             prop_assert_eq!(
                 run.output, spec_out,
                 "[{} / {}] engine diverges at scale={} seed={}",

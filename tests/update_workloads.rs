@@ -1,8 +1,8 @@
 //! Randomized interleaving of catalog updates with the paper's
 //! workloads (Q1–Q10): after every update, the indexed plans must stay
-//! byte-identical to the scan plans in both executors, with
-//! executor-identical `index_lookups`/`index_hits` — i.e. incremental
-//! index maintenance is unobservable except for being cheaper.
+//! byte-identical to the scan plans and to the reference evaluator —
+//! i.e. incremental index maintenance is unobservable except for being
+//! cheaper.
 
 use proptest::prelude::*;
 
@@ -53,39 +53,27 @@ fn apply_update(cat: &mut Catalog, doc_pick: usize, entry_pick: usize, kind: usi
     }
 }
 
-/// Check one workload end to end: every enumerated plan, scan vs
-/// indexed, both executors, byte-identical — and index metrics
-/// executor-identical.
+/// Check one workload end to end: every enumerated plan, reference
+/// evaluator vs scan vs indexed, byte-identical.
 fn check_workload(w: &Workload, cat: &Catalog) {
     let nested =
         xquery::compile(w.query, cat).unwrap_or_else(|e| panic!("[{}] compile failed: {e}", w.id));
     for plan in unnest::enumerate_plans(&nested, cat) {
-        let scan_plan = engine::compile(&plan.expr);
-        let index_plan = engine::compile_indexed(&plan.expr, cat);
-        let scan = engine::run_compiled(&scan_plan, cat).expect("scan");
-        let m_idx = engine::run_compiled(&index_plan, cat).expect("materialized indexed");
-        let s_idx = engine::run_streaming_compiled(&index_plan, cat).expect("streaming indexed");
-        assert_eq!(
-            scan.output, m_idx.output,
-            "[{}/{}] indexed output diverged after updates",
-            w.id, plan.label
-        );
-        assert_eq!(scan.rows, m_idx.rows, "[{}/{}] rows", w.id, plan.label);
-        assert_eq!(
-            scan.output, s_idx.output,
-            "[{}/{}] streaming",
-            w.id, plan.label
-        );
-        assert_eq!(
-            m_idx.metrics.index_lookups, s_idx.metrics.index_lookups,
-            "[{}/{}] index_lookups must stay executor-identical after deltas",
-            w.id, plan.label
-        );
-        assert_eq!(
-            m_idx.metrics.index_hits, s_idx.metrics.index_hits,
-            "[{}/{}] index_hits must stay executor-identical after deltas",
-            w.id, plan.label
-        );
+        let mut ctx = nal::EvalCtx::new(cat);
+        let spec_rows = nal::eval_query(&plan.expr, &mut ctx).expect("reference evaluates");
+        let spec_output = ctx.take_output();
+        for (label, compiled) in [
+            ("scan", engine::compile(&plan.expr)),
+            ("indexed", engine::compile_indexed(&plan.expr, cat)),
+        ] {
+            let r = engine::run_streaming_parallel(&compiled, cat, 1).expect(label);
+            assert_eq!(
+                r.output, spec_output,
+                "[{}/{}] {label} output diverged after updates",
+                w.id, plan.label
+            );
+            assert_eq!(r.rows, spec_rows, "[{}/{}] {label} rows", w.id, plan.label);
+        }
     }
 }
 
@@ -103,7 +91,8 @@ proptest! {
         for w in &workloads {
             let nested = xquery::compile(w.query, &catalog).unwrap();
             for plan in unnest::enumerate_plans(&nested, &catalog) {
-                engine::run_indexed(&plan.expr, &catalog).unwrap();
+                let indexed = engine::compile_indexed(&plan.expr, &catalog);
+                engine::run_streaming_parallel(&indexed, &catalog, 1).unwrap();
             }
         }
         for (round, &(doc_pick, entry_pick, kind)) in steps.iter().enumerate() {
